@@ -1,21 +1,9 @@
-// Copy-path vs span-path throughput for the dense-kernel layer
-// (DESIGN.md, "Dense kernels and row views"). Two workloads:
-//
-//   knn    a brute-force distance scan, queries/sec — Matrix::Row()
-//          copies + element loops vs ConstRowSpan() + linalg::Distance2
-//   sgns   sharded-SGD delta accumulation, pairs/sec — the historical
-//          std::map<int, std::vector<double>> per-sequence delta vs
-//          linalg::RowDeltaBuffer + SgdPairUpdateDelta
-//
-// Both paths of each workload compute bit-identical results (checksummed
-// below); only the allocation and access pattern differ.
-//
-// A third section benchmarks the kernel *backends* (kernels_backend.h)
-// against each other: generic vs vectorized vs float32 ops tables, called
-// directly through GetKernelOps so the comparison is free of dispatch
-// state. Fast backends are tolerance-equal, not bit-equal, to generic
-// (see tests/backend_parity_test.cc), so each backend reports its own
-// state checksum rather than a bit_identical flag.
+// Kernel-backend throughput for the dense-kernel layer (DESIGN.md,
+// "Kernel backends"): generic vs vectorized vs float32 ops tables
+// (kernels_backend.h), called directly through GetKernelOps so the
+// comparison is free of dispatch state. Fast backends are tolerance-equal,
+// not bit-equal, to generic (see tests/backend_parity_test.cc), so each
+// backend reports its own state checksum rather than a bit_identical flag.
 //
 // Output is one BENCH-style JSON object on stdout, with a trailing "meta"
 // block (compiler/flags/ISA) so committed BENCH_kernels.json snapshots
@@ -24,15 +12,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <map>
-#include <span>
 #include <vector>
 
-#include "base/rng.h"
 #include "base/trace.h"
 #include "bench_meta.h"
-#include "linalg/kernels.h"
 #include "linalg/kernels_backend.h"
 #include "linalg/matrix.h"
 
@@ -50,154 +33,12 @@ uint64_t Fnv1a(const double* data, size_t count) {
   return h;
 }
 
-// ---- Workload 1: brute-force kNN distance scan ------------------------------
-
-constexpr int kPoints = 4000;
-constexpr int kDim = 64;
-constexpr int kQueries = 200;
-constexpr int kKnnReps = 5;
-
-double CopyPathScan(const Matrix& features, const Matrix& queries,
-                    std::vector<double>* nearest) {
-  const x2vec::trace::StopWatch watch;
-  for (int rep = 0; rep < kKnnReps; ++rep) {
-    for (int q = 0; q < queries.rows(); ++q) {
-      const std::vector<double> query = queries.Row(q);
-      double best = 1e300;
-      for (int i = 0; i < features.rows(); ++i) {
-        // The pre-refactor pattern: one heap allocation per candidate row.
-        const std::vector<double> row = features.Row(i);
-        double squared = 0.0;
-        for (int d = 0; d < kDim; ++d) {
-          const double diff = row[d] - query[d];
-          squared += diff * diff;
-        }
-        if (squared < best) best = squared;
-      }
-      (*nearest)[q] = best;
-    }
-  }
-  return watch.Seconds();
-}
-
-double SpanPathScan(const Matrix& features, const Matrix& queries,
-                    std::vector<double>* nearest) {
-  const x2vec::trace::StopWatch watch;
-  for (int rep = 0; rep < kKnnReps; ++rep) {
-    for (int q = 0; q < queries.rows(); ++q) {
-      const std::span<const double> query = queries.ConstRowSpan(q);
-      double best = 1e300;
-      for (int i = 0; i < features.rows(); ++i) {
-        const double squared =
-            x2vec::linalg::SquaredDistance(features.ConstRowSpan(i), query);
-        if (squared < best) best = squared;
-      }
-      (*nearest)[q] = best;
-    }
-  }
-  return watch.Seconds();
-}
-
-// ---- Workload 2: sharded-SGD delta accumulation -----------------------------
-
-constexpr int kVocab = 2000;
-constexpr int kSgnsDim = 64;
-constexpr int kSequences = 400;
-constexpr int kPairsPerSequence = 120;
-constexpr double kLr = 0.025;
-
-struct PairStream {
-  std::vector<int> centers;
-  std::vector<int> contexts;
-  std::vector<double> labels;
-};
-
-PairStream MakePairs() {
-  x2vec::Rng rng = x2vec::MakeRng(91);
-  PairStream pairs;
-  const int total = kSequences * kPairsPerSequence;
-  pairs.centers.reserve(total);
-  pairs.contexts.reserve(total);
-  pairs.labels.reserve(total);
-  for (int i = 0; i < total; ++i) {
-    pairs.centers.push_back(
-        static_cast<int>(x2vec::UniformInt(rng, 0, kVocab - 1)));
-    pairs.contexts.push_back(
-        static_cast<int>(x2vec::UniformInt(rng, 0, kVocab - 1)));
-    pairs.labels.push_back(x2vec::Coin(rng, 0.2) ? 1.0 : 0.0);
-  }
-  return pairs;
-}
-
-// The delta container the sharded trainer used before RowDeltaBuffer: an
-// ordered map of row -> freshly allocated dense vector, rebuilt from
-// scratch for every sequence.
-double MapPathTrain(const PairStream& pairs, Matrix* input, Matrix* output) {
-  const x2vec::trace::StopWatch watch;
-  std::vector<double> gradient(kSgnsDim);
-  for (int s = 0; s < kSequences; ++s) {
-    std::map<int, std::vector<double>> input_delta;
-    std::map<int, std::vector<double>> output_delta;
-    for (int p = s * kPairsPerSequence; p < (s + 1) * kPairsPerSequence; ++p) {
-      const int center = pairs.centers[p];
-      const int context = pairs.contexts[p];
-      std::fill(gradient.begin(), gradient.end(), 0.0);
-      auto& context_delta = output_delta[context];
-      if (context_delta.empty()) context_delta.assign(kSgnsDim, 0.0);
-      x2vec::linalg::SgdPairUpdateDelta(
-          input->ConstRowSpan(center), output->ConstRowSpan(context),
-          pairs.labels[p], kLr, gradient, context_delta);
-      auto& center_delta = input_delta[center];
-      if (center_delta.empty()) center_delta.assign(kSgnsDim, 0.0);
-      for (int d = 0; d < kSgnsDim; ++d) center_delta[d] += gradient[d];
-    }
-    for (const auto& [row, delta] : input_delta) {
-      x2vec::linalg::Axpy(1.0, delta, input->RowSpan(row));
-    }
-    for (const auto& [row, delta] : output_delta) {
-      x2vec::linalg::Axpy(1.0, delta, output->RowSpan(row));
-    }
-  }
-  return watch.Seconds();
-}
-
-double SpanPathTrain(const PairStream& pairs, Matrix* input, Matrix* output) {
-  const x2vec::trace::StopWatch watch;
-  std::vector<double> gradient(kSgnsDim);
-  x2vec::linalg::RowDeltaBuffer input_delta;
-  x2vec::linalg::RowDeltaBuffer output_delta;
-  for (int s = 0; s < kSequences; ++s) {
-    input_delta.Reset(kVocab, kSgnsDim);
-    output_delta.Reset(kVocab, kSgnsDim);
-    for (int p = s * kPairsPerSequence; p < (s + 1) * kPairsPerSequence; ++p) {
-      const int center = pairs.centers[p];
-      const int context = pairs.contexts[p];
-      std::fill(gradient.begin(), gradient.end(), 0.0);
-      x2vec::linalg::SgdPairUpdateDelta(
-          input->ConstRowSpan(center), output->ConstRowSpan(context),
-          pairs.labels[p], kLr, gradient,
-          output_delta.Accumulator(context));
-      x2vec::linalg::Axpy(1.0, gradient, input_delta.Accumulator(center));
-    }
-    const std::vector<int>& in_rows = input_delta.touched();
-    for (size_t t = 0; t < in_rows.size(); ++t) {
-      x2vec::linalg::Axpy(1.0, input_delta.Slot(static_cast<int>(t)),
-                          input->RowSpan(in_rows[t]));
-    }
-    const std::vector<int>& out_rows = output_delta.touched();
-    for (size_t t = 0; t < out_rows.size(); ++t) {
-      x2vec::linalg::Axpy(1.0, output_delta.Slot(static_cast<int>(t)),
-                          output->RowSpan(out_rows[t]));
-    }
-  }
-  return watch.Seconds();
-}
-
-// ---- Workload 3: kernel-backend micro-benchmarks ----------------------------
+// ---- Kernel-backend micro-benchmarks ----------------------------------------
 
 constexpr int kBackendRows = 1024;
 constexpr int kBackendDim = 64;
 constexpr int kBackendReps = 2000;
+constexpr double kLr = 0.025;
 
 struct BackendTimings {
   double dot_seconds = 0.0;
@@ -293,41 +134,6 @@ void PrintBackendJson(const char* name, const BackendTimings& timings,
 }  // namespace
 
 int main() {
-  // kNN scan.
-  const Matrix features = Matrix::Random(kPoints, kDim, 1.0, /*seed=*/11);
-  const Matrix queries = Matrix::Random(kQueries, kDim, 1.0, /*seed=*/12);
-  std::vector<double> nearest_copy(kQueries);
-  std::vector<double> nearest_span(kQueries);
-  const double copy_seconds = CopyPathScan(features, queries, &nearest_copy);
-  const double span_seconds = SpanPathScan(features, queries, &nearest_span);
-  const bool knn_identical =
-      Fnv1a(nearest_copy.data(), nearest_copy.size()) ==
-      Fnv1a(nearest_span.data(), nearest_span.size());
-  const double total_queries = static_cast<double>(kQueries) * kKnnReps;
-  const double copy_qps = total_queries / copy_seconds;
-  const double span_qps = total_queries / span_seconds;
-
-  // SGNS delta accumulation. Both paths start from the same parameters;
-  // the map path applies row deltas in ascending-row order, the buffer in
-  // first-touch order — distinct rows, so the result is bit-identical.
-  const PairStream pairs = MakePairs();
-  Matrix input_map = Matrix::Random(kVocab, kSgnsDim, 0.1, /*seed=*/13);
-  Matrix output_map(kVocab, kSgnsDim);
-  Matrix input_span = input_map;
-  Matrix output_span(kVocab, kSgnsDim);
-  const double map_seconds = MapPathTrain(pairs, &input_map, &output_map);
-  const double buffer_seconds =
-      SpanPathTrain(pairs, &input_span, &output_span);
-  const bool sgns_identical =
-      Fnv1a(input_map.data().data(), input_map.data().size()) ==
-          Fnv1a(input_span.data().data(), input_span.data().size()) &&
-      Fnv1a(output_map.data().data(), output_map.data().size()) ==
-          Fnv1a(output_span.data().data(), output_span.data().size());
-  const double total_pairs =
-      static_cast<double>(kSequences) * kPairsPerSequence;
-  const double map_pps = total_pairs / map_seconds;
-  const double buffer_pps = total_pairs / buffer_seconds;
-
   // Backend-vs-backend kernel sweep. The generic table is the baseline all
   // speedups are relative to; the acceptance bar tracked in
   // BENCH_kernels.json is sgd_speedup >= 1.5 for at least one fast backend.
@@ -347,21 +153,12 @@ int main() {
 
   std::printf(
       "{\"bench\": \"perf_dense_kernels\",\n"
-      " \"knn\": {\"points\": %d, \"dim\": %d, \"copy_queries_per_sec\": "
-      "%.1f, \"span_queries_per_sec\": %.1f, \"speedup\": %.2f, "
-      "\"bit_identical\": %s},\n"
-      " \"sgns\": {\"vocab\": %d, \"dim\": %d, \"map_pairs_per_sec\": %.1f, "
-      "\"buffer_pairs_per_sec\": %.1f, \"speedup\": %.2f, "
-      "\"bit_identical\": %s},\n"
       " \"kernels\": {\"rows\": %d, \"dim\": %d, \"reps\": %d,\n",
-      kPoints, kDim, copy_qps, span_qps, span_qps / copy_qps,
-      knn_identical ? "true" : "false", kVocab, kSgnsDim, map_pps, buffer_pps,
-      buffer_pps / map_pps, sgns_identical ? "true" : "false", kBackendRows,
-      kBackendDim, kBackendReps);
+      kBackendRows, kBackendDim, kBackendReps);
   PrintBackendJson("generic", generic, generic, /*trailing_comma=*/true);
   PrintBackendJson("vectorized", vectorized, generic,
                    /*trailing_comma=*/true);
   PrintBackendJson("float32", float32, generic, /*trailing_comma=*/false);
   std::printf(" },\n \"meta\": %s}\n", x2vec::bench::MetaJson().c_str());
-  return (knn_identical && sgns_identical) ? 0 : 1;
+  return 0;
 }

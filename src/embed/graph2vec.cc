@@ -13,7 +13,7 @@ struct WlDocuments {
 };
 
 // Jointly refines the dataset and turns each graph into its bag of
-// (round, colour) words — the shared front half of every graph2vec path.
+// (round, colour) words — the front half of graph2vec.
 WlDocuments BuildWlDocuments(const std::vector<graph::Graph>& graphs,
                              int wl_rounds) {
   // Joint refinement for shared colour ids.
@@ -75,24 +75,6 @@ StatusOr<linalg::Matrix> Graph2VecEmbeddingBudgeted(
   CorpusSource source(wl.documents);
   StatusOr<SgnsModel> model =
       TrainPvDbowStreaming(source, wl.vocab_size, options.sgns, rng, budget);
-  if (!model.ok()) return model.status();
-  return std::move(model->input);
-}
-
-StatusOr<linalg::Matrix> Graph2VecEmbeddingParallel(
-    const std::vector<graph::Graph>& graphs, const Graph2VecOptions& options,
-    uint64_t seed, Budget& budget) {
-  if (graphs.empty()) {
-    return Status::InvalidArgument(
-        "graph2vec needs at least one input graph");
-  }
-  if (budget.Exhausted()) {
-    return budget.ExhaustedError("graph2vec embedding");
-  }
-  const WlDocuments wl = BuildWlDocuments(graphs, options.wl_rounds);
-  CorpusSource source(wl.documents);
-  StatusOr<SgnsModel> model = TrainPvDbowShardedStreaming(
-      source, wl.vocab_size, options.sgns, seed, budget);
   if (!model.ok()) return model.status();
   return std::move(model->input);
 }

@@ -30,23 +30,14 @@ struct Graph2VecOptions {
 linalg::Matrix Graph2VecEmbedding(const std::vector<graph::Graph>& graphs,
                                   const Graph2VecOptions& options, Rng& rng);
 
-/// Budgeted variant: budget semantics are those of TrainPvDbowBudgeted
-/// (one work unit per positive document-word pair), which dominates the
-/// cost. Returns kResourceExhausted / kInvalidArgument / kInternal as the
-/// underlying trainer does; with an unlimited budget the result is
-/// bit-identical to Graph2VecEmbedding (a thin wrapper over this).
+/// Budgeted variant, trained by the sequential TrainPvDbowStreaming over
+/// the WL documents: one work unit per positive document-word pair, which
+/// dominates the cost. Returns kResourceExhausted / kInvalidArgument /
+/// kInternal as the underlying trainer does; with an unlimited budget the
+/// result is bit-identical to Graph2VecEmbedding (a thin wrapper over
+/// this).
 [[nodiscard]] StatusOr<linalg::Matrix> Graph2VecEmbeddingBudgeted(
     const std::vector<graph::Graph>& graphs, const Graph2VecOptions& options,
     Rng& rng, Budget& budget);
-
-/// Parallel variant built on TrainPvDbowSharded: WL documents are built as
-/// in the sequential path, then trained with the sharded deterministic
-/// mini-batch trainer, so the embedding is bit-identical at any thread
-/// count for a fixed seed (and numerically different from the sequential
-/// trainers' output — see TrainPvDbowSharded). Budget and error semantics
-/// match Graph2VecEmbeddingBudgeted.
-[[nodiscard]] StatusOr<linalg::Matrix> Graph2VecEmbeddingParallel(
-    const std::vector<graph::Graph>& graphs, const Graph2VecOptions& options,
-    uint64_t seed, Budget& budget);
 
 }  // namespace x2vec::embed

@@ -2,7 +2,7 @@
 
 #include <cmath>
 #include <span>
-#include <string>
+#include <string_view>
 
 #include "graph/algorithms.h"
 #include "linalg/eigen.h"
@@ -93,107 +93,76 @@ linalg::Matrix IsomapEmbedding(const graph::Graph& g, int d) {
 
 namespace {
 
-// Builds the node corpus for a walk set: node ids are already dense, so
-// the string vocabulary is a formality, but occurrence counts feed the
-// noise table.
-Corpus WalkCorpus(const graph::Graph& g,
-                  std::vector<std::vector<int>> walks) {
-  Corpus corpus;
-  for (int v = 0; v < g.NumVertices(); ++v) {
-    corpus.vocab.Add("n" + std::to_string(v));
-  }
-  // Re-count occurrences: Add() above counted each once; walking tokens are
-  // added by re-adding per occurrence.
-  for (const auto& walk : walks) {
-    for (int v : walk) corpus.vocab.Add("n" + std::to_string(v));
-  }
-  corpus.sentences = std::move(walks);
-  return corpus;
+constexpr std::string_view kWalkOperation = "walk + skip-gram embedding";
+
+// The back half both walk paths share: one budget unit per walk, one
+// counting pass for the pair-schedule totals and the noise table, then
+// `train(stats, noise)`. The table follows the walk-corpus convention —
+// every vertex counts once before its walk occurrences (base_count 1).
+template <typename Train>
+StatusOr<linalg::Matrix> TrainOnWalks(SentenceSource& walks, int64_t num_walks,
+                                      int n, const SgnsOptions& sgns,
+                                      Budget& budget, Train&& train) {
+  if (!budget.Spend(num_walks)) return budget.ExhaustedError(kWalkOperation);
+  const StreamStats stats =
+      CountStream(walks, sgns.window, /*skipgram_window=*/true, n);
+  const std::vector<double> noise = NoiseFromCounts(
+      stats.token_counts, n, sgns.noise_power, /*base_count=*/1);
+  StatusOr<SgnsModel> model = train(stats, noise);
+  if (!model.ok()) return model.status();
+  return std::move(model->input);
 }
 
+Status CheckWalkInput(int n, Budget& budget) {
+  if (budget.Exhausted()) return budget.ExhaustedError(kWalkOperation);
+  if (n == 0) {
+    return Status::InvalidArgument(
+        "SGNS training needs a non-empty vocabulary");
+  }
+  return Status::Ok();
+}
+
+// Sequential path: the walk corpus is generated on the parallel path
+// (bit-identical at any thread count) from one draw of the caller's
+// generator, which then drives the sequential trainer.
 StatusOr<linalg::Matrix> WalkSkipGram(const graph::Graph& g,
                                       const Node2VecOptions& options, Rng& rng,
                                       Budget& budget) {
-  if (budget.Exhausted()) {
-    return budget.ExhaustedError("walk + skip-gram embedding");
-  }
-  // Corpus generation runs on the parallel path (bit-identical at any
-  // thread count); the seed is one draw from the caller's generator, which
-  // then drives the sequential trainer as before.
-  std::vector<std::vector<int>> walks =
+  const int n = g.NumVertices();
+  if (Status status = CheckWalkInput(n, budget); !status.ok()) return status;
+  const std::vector<std::vector<int>> walks =
       GenerateWalksParallel(g, options.walks, rng());
-  if (!budget.Spend(static_cast<int64_t>(walks.size()))) {
-    return budget.ExhaustedError("walk + skip-gram embedding");
-  }
-  const Corpus corpus = WalkCorpus(g, std::move(walks));
-  StatusOr<SgnsModel> model = TrainSgnsBudgeted(corpus, options.sgns, rng,
-                                                budget);
-  if (!model.ok()) return model.status();
-  return std::move(model->input);
-}
-
-StatusOr<linalg::Matrix> WalkSkipGramParallel(const graph::Graph& g,
-                                              const Node2VecOptions& options,
-                                              uint64_t seed, Budget& budget) {
-  if (budget.Exhausted()) {
-    return budget.ExhaustedError("walk + skip-gram embedding");
-  }
-  // Streams 0 and 1 of the seed are reserved for walks and training.
-  std::vector<std::vector<int>> walks =
-      GenerateWalksParallel(g, options.walks, MixSeed(seed, 0));
-  if (!budget.Spend(static_cast<int64_t>(walks.size()))) {
-    return budget.ExhaustedError("walk + skip-gram embedding");
-  }
-  const Corpus corpus = WalkCorpus(g, std::move(walks));
-  StatusOr<SgnsModel> model =
-      TrainSgnsSharded(corpus, options.sgns, MixSeed(seed, 1), budget);
-  if (!model.ok()) return model.status();
-  return std::move(model->input);
+  CorpusSource source(walks);
+  return TrainOnWalks(
+      source, static_cast<int64_t>(walks.size()), n, options.sgns, budget,
+      [&](const StreamStats& stats, const std::vector<double>& noise) {
+        return TrainSgnsStreaming(source, stats, noise, options.sgns, rng,
+                                  budget);
+      });
 }
 
 StatusOr<linalg::Matrix> WalkSkipGramStreaming(const graph::GraphView& g,
                                                const Node2VecOptions& options,
                                                uint64_t seed, Budget& budget,
                                                int64_t shuffle_buffer) {
-  if (budget.Exhausted()) {
-    return budget.ExhaustedError("walk + skip-gram embedding");
-  }
   const int n = g.NumVertices();
-  if (n == 0) {
-    return Status::InvalidArgument(
-        "SGNS training needs a non-empty vocabulary");
-  }
-  // Streams 0 and 1 of the seed are reserved for walks and training, as in
-  // the materialised parallel path; stream 2 drives the optional shuffle.
+  if (Status status = CheckWalkInput(n, budget); !status.ok()) return status;
+  // Streams 0 and 1 of the seed are reserved for walks and training;
+  // stream 2 drives the optional shuffle.
   WalkSource walks(g, options.walks, MixSeed(seed, 0));
-  if (!budget.Spend(walks.NumSentences())) {
-    return budget.ExhaustedError("walk + skip-gram embedding");
-  }
-  // The single streaming counting pass: per-vertex occurrence counts for
-  // the noise table plus the pair-schedule totals, replacing the
-  // materialised WalkCorpus. base_count 1 reproduces its convention of
-  // seeding every vertex with one count before the walk occurrences, so
-  // the table — and hence every negative draw — matches the in-memory path
-  // value for value.
-  const StreamStats stats =
-      CountStream(walks, options.sgns.window, /*skipgram_window=*/true, n);
-  const std::vector<double> noise = NoiseFromCounts(
-      stats.token_counts, n, options.sgns.noise_power, /*base_count=*/1);
-  // `stats` stays valid under the shuffle: every total it carries is
-  // order-independent, so the permuted stream needs no second pass.
-  StatusOr<SgnsModel> model =
-      shuffle_buffer > 0
-          ? [&] {
-              ShuffleBufferSource shuffled(walks, shuffle_buffer,
-                                           MixSeed(seed, 2));
-              return TrainSgnsShardedStreaming(shuffled, stats, noise,
-                                               options.sgns, MixSeed(seed, 1),
-                                               budget);
-            }()
-          : TrainSgnsShardedStreaming(walks, stats, noise, options.sgns,
-                                      MixSeed(seed, 1), budget);
-  if (!model.ok()) return model.status();
-  return std::move(model->input);
+  return TrainOnWalks(
+      walks, walks.NumSentences(), n, options.sgns, budget,
+      [&](const StreamStats& stats, const std::vector<double>& noise) {
+        // `stats` stays valid under the shuffle: every total it carries is
+        // order-independent, so the permuted stream needs no second pass.
+        if (shuffle_buffer <= 0) {
+          return TrainSgnsShardedStreaming(walks, stats, noise, options.sgns,
+                                           MixSeed(seed, 1), budget);
+        }
+        ShuffleBufferSource shuffled(walks, shuffle_buffer, MixSeed(seed, 2));
+        return TrainSgnsShardedStreaming(shuffled, stats, noise, options.sgns,
+                                         MixSeed(seed, 1), budget);
+      });
 }
 
 }  // namespace
@@ -223,21 +192,6 @@ StatusOr<linalg::Matrix> Node2VecEmbeddingBudgeted(
     const graph::Graph& g, const Node2VecOptions& options, Rng& rng,
     Budget& budget) {
   return WalkSkipGram(g, options, rng, budget);
-}
-
-StatusOr<linalg::Matrix> DeepWalkEmbeddingParallel(
-    const graph::Graph& g, const Node2VecOptions& options, uint64_t seed,
-    Budget& budget) {
-  Node2VecOptions uniform = options;
-  uniform.walks.p = 1.0;
-  uniform.walks.q = 1.0;
-  return WalkSkipGramParallel(g, uniform, seed, budget);
-}
-
-StatusOr<linalg::Matrix> Node2VecEmbeddingParallel(
-    const graph::Graph& g, const Node2VecOptions& options, uint64_t seed,
-    Budget& budget) {
-  return WalkSkipGramParallel(g, options, seed, budget);
 }
 
 StatusOr<linalg::Matrix> DeepWalkEmbeddingStreaming(

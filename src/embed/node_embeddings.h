@@ -51,12 +51,14 @@ linalg::Matrix DeepWalkEmbedding(const graph::Graph& g,
 linalg::Matrix Node2VecEmbedding(const graph::Graph& g,
                                  const Node2VecOptions& options, Rng& rng);
 
-/// Budgeted variants of the walk + skip-gram embedders: one work unit per
-/// generated random walk plus the TrainSgnsBudgeted unit per positive pair
-/// (which dominates). Returns kResourceExhausted / kInvalidArgument /
-/// kInternal as the underlying trainer does; with an unlimited budget the
-/// results are bit-identical to the plain functions above (which are thin
-/// wrappers over these).
+/// Budgeted variants of the walk + skip-gram embedders: the walk corpus
+/// is materialised (GenerateWalksParallel, seeded by one draw of `rng`)
+/// and trained by the sequential TrainSgnsStreaming through a CorpusSource.
+/// One work unit per generated random walk plus the trainer's unit per
+/// positive pair (which dominates). Returns kResourceExhausted /
+/// kInvalidArgument / kInternal as the underlying trainer does; with an
+/// unlimited budget the results are bit-identical to the plain functions
+/// above (which are thin wrappers over these).
 [[nodiscard]] StatusOr<linalg::Matrix> DeepWalkEmbeddingBudgeted(
     const graph::Graph& g, const Node2VecOptions& options, Rng& rng,
     Budget& budget);
@@ -65,35 +67,25 @@ linalg::Matrix Node2VecEmbedding(const graph::Graph& g,
     const graph::Graph& g, const Node2VecOptions& options, Rng& rng,
     Budget& budget);
 
-/// Fully parallel variants: parallel walk corpus (GenerateWalksParallel)
-/// feeding the sharded deterministic trainer (TrainSgnsSharded). For a
-/// fixed seed the embedding is bit-identical at any thread count; it
-/// differs numerically from the Budgeted variants, which keep the
-/// sequential SGD trajectory. Budget and error semantics are unchanged.
-[[nodiscard]] StatusOr<linalg::Matrix> DeepWalkEmbeddingParallel(
-    const graph::Graph& g, const Node2VecOptions& options, uint64_t seed,
-    Budget& budget);
-
-[[nodiscard]] StatusOr<linalg::Matrix> Node2VecEmbeddingParallel(
-    const graph::Graph& g, const Node2VecOptions& options, uint64_t seed,
-    Budget& budget);
-
-/// Out-of-core variants (DESIGN.md §13): a WalkSource over either graph
-/// backend — adjacency-list Graph or CsrGraph, possibly mmap-backed — feeds
-/// the sharded streaming trainer, so the walk corpus is never materialised;
-/// resident state is one walk, one start permutation, the model and the
-/// noise table. One streaming counting pass builds the noise table (the
-/// WalkCorpus convention: every vertex counts once plus its walk
-/// occurrences) and the pair-schedule totals.
+/// Parallel out-of-core variants (DESIGN.md §13): a WalkSource over either
+/// graph backend — adjacency-list Graph or CsrGraph, possibly mmap-backed —
+/// feeds the sharded deterministic trainer (TrainSgnsShardedStreaming), so
+/// the walk corpus is never materialised; resident state is one walk, one
+/// start permutation, the model and the noise table. One streaming
+/// counting pass builds the noise table (every vertex counts once plus its
+/// walk occurrences) and the pair-schedule totals. Walks draw from
+/// MixSeed(seed, 0) and the trainer from MixSeed(seed, 1), so for a fixed
+/// seed the embedding is bit-identical at any thread count, and equal to
+/// TrainSgnsSharded over the materialised GenerateWalksParallel corpus with
+/// the same seeds. It differs numerically from the Budgeted variants, which
+/// keep the sequential SGD trajectory. Budget and error semantics match
+/// theirs.
 ///
-/// With shuffle_buffer == 0 the result is bit-identical to the Parallel
-/// variants above on the same graph, options and seed — same walk streams
-/// (MixSeed(seed, 0)), same trainer streams (MixSeed(seed, 1)), same noise
-/// table, same schedule. shuffle_buffer > 0 inserts a deterministic
-/// bounded shuffle stage (seeded MixSeed(seed, 2)) between the walks and
-/// the trainer: sentence order changes — so the model differs numerically
-/// from the unshuffled run — but is itself a pure function of (graph,
-/// options, seed, capacity), bit-identical at any thread count.
+/// shuffle_buffer > 0 inserts a deterministic bounded shuffle stage (seeded
+/// MixSeed(seed, 2)) between the walks and the trainer: sentence order
+/// changes — so the model differs numerically from the unshuffled run — but
+/// is itself a pure function of (graph, options, seed, capacity),
+/// bit-identical at any thread count.
 [[nodiscard]] StatusOr<linalg::Matrix> DeepWalkEmbeddingStreaming(
     const graph::GraphView& g, const Node2VecOptions& options, uint64_t seed,
     Budget& budget, int64_t shuffle_buffer = 0);

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <string_view>
 
 #include "base/metrics.h"
 #include "base/parallel.h"
 #include "base/trace.h"
 #include "base/validation.h"
+#include "embed/pairs.h"
 #include "linalg/health.h"
 #include "linalg/kernels.h"
 #include "linalg/kernels_backend.h"
@@ -15,9 +18,20 @@
 namespace x2vec::embed {
 namespace {
 
-constexpr std::string_view kOperation = "SGNS training";
+// What one training run reads: the sentence stream with the totals of its
+// counting pass, the noise table, and the model shape. PV-DBOW rows are
+// documents (rows_in) and tokens (rows_out); skip-gram uses the vocabulary
+// for both.
+struct TrainInput {
+  SentenceSource& source;
+  const StreamStats& stats;
+  const std::vector<double>& noise_weights;
+  int rows_in;
+  int rows_out;
+  bool skipgram_window;
+};
 
-// ---- Checkpoint plumbing shared by the sequential and sharded trainers.
+// ---- Checkpoint plumbing.
 
 // Binds a checkpoint to one exact run: options (recovery included, since
 // it shapes the retry path), data shape and content, noise table and seed.
@@ -27,16 +41,13 @@ constexpr std::string_view kOperation = "SGNS training";
 // checkpointing is enabled — in the exact field order the materialised
 // fingerprint always used, so digests (and therefore existing checkpoint
 // files) stay valid across the streaming refactor.
-uint64_t SgnsFingerprint(CheckpointKind kind, SentenceSource& source,
-                         int64_t num_sentences,
-                         const std::vector<double>& noise_weights, int rows_in,
-                         int rows_out, bool skipgram_window,
+uint64_t SgnsFingerprint(CheckpointKind kind, const TrainInput& in,
                          const SgnsOptions& options, uint64_t seed) {
   Fnv1a hasher;
   hasher.UpdateU64(static_cast<uint64_t>(kind));
-  hasher.UpdateU64(static_cast<uint64_t>(rows_in));
-  hasher.UpdateU64(static_cast<uint64_t>(rows_out));
-  hasher.UpdateU64(skipgram_window ? 1 : 0);
+  hasher.UpdateU64(static_cast<uint64_t>(in.rows_in));
+  hasher.UpdateU64(static_cast<uint64_t>(in.rows_out));
+  hasher.UpdateU64(in.skipgram_window ? 1 : 0);
   hasher.UpdateU64(static_cast<uint64_t>(options.dimension));
   hasher.UpdateU64(static_cast<uint64_t>(options.window));
   hasher.UpdateU64(static_cast<uint64_t>(options.negatives));
@@ -49,32 +60,16 @@ uint64_t SgnsFingerprint(CheckpointKind kind, SentenceSource& source,
   hasher.UpdateDouble(options.recovery.clip_backoff);
   hasher.UpdateDouble(options.recovery.max_abs);
   hasher.UpdateU64(seed);
-  hasher.UpdateU64(static_cast<uint64_t>(num_sentences));
-  source.Reset();
+  hasher.UpdateU64(static_cast<uint64_t>(in.stats.num_sentences));
+  in.source.Reset();
   std::vector<int> seq;
-  while (source.Next(seq)) {
+  while (in.source.Next(seq)) {
     hasher.UpdateU64(seq.size());
     for (int token : seq) hasher.UpdateU64(static_cast<uint64_t>(token));
   }
-  hasher.UpdateU64(noise_weights.size());
-  for (double w : noise_weights) hasher.UpdateDouble(w);
+  hasher.UpdateU64(in.noise_weights.size());
+  for (double w : in.noise_weights) hasher.UpdateDouble(w);
   return hasher.digest();
-}
-
-// Positive pairs contributed by one sequence — the per-sequence term of
-// PositivePairPrefix, shared so the streaming batch loop prices sequences
-// identically to the materialised prefix sums.
-int64_t SequencePairs(const std::vector<int>& seq, int window,
-                      bool skipgram_window) {
-  if (!skipgram_window) return static_cast<int64_t>(seq.size());
-  const int len = static_cast<int>(seq.size());
-  int64_t pairs = 0;
-  for (int pos = 0; pos < len; ++pos) {
-    const int lo = std::max(0, pos - window);
-    const int hi = std::min(len - 1, pos + window);
-    pairs += hi - lo;  // Excludes the centre itself.
-  }
-  return pairs;
 }
 
 // Everything beyond the model needed to make a resumed run bit-identical:
@@ -162,26 +157,48 @@ int SampleNegative(const AliasTable& noise, int positive, Rng& rng) {
   return negative;
 }
 
-// One SGD step on the pair (center -> context, label): maximises
-// log sigma(u_ctx . v_center) for positives and log sigma(-u . v) for
-// negatives. The centre-row update goes into `center_gradient` (applied by
-// the caller, possibly clipped); the context row is updated in place.
-// Returns the pair's negative log-likelihood for the epoch-loss health
-// check. Delegates to the fused span kernel, which keeps the historical
-// per-dimension operation order.
-double UpdatePair(linalg::Matrix& input, linalg::Matrix& output, int center,
-                  int context, double label, double lr,
-                  std::vector<double>& center_gradient) {
-  return linalg::SgdPairUpdate(input.ConstRowSpan(center),
-                               output.RowSpan(context), label, lr,
-                               center_gradient);
-}
+// ---- The epoch driver shared by both trainers.
 
-StatusOr<SgnsModel> Train(SentenceSource& source, const StreamStats& stats,
-                          const std::vector<double>& noise_weights,
-                          int rows_in, int rows_out, bool skipgram_window,
-                          const SgnsOptions& options, Rng& rng,
-                          Budget& budget) {
+// What tells the two trainers apart to the driver.
+struct TrainerTraits {
+  CheckpointKind kind;
+  std::string_view operation;  // Names the run in budget/divergence errors.
+  std::string_view span;       // Trace span over the whole run.
+  uint64_t seed;               // Bound into the checkpoint fingerprint.
+  // Schedule pairs per unit of `progress`: 1 for the sequential trainer,
+  // whose progress counts pairs; pairs_per_epoch for the sharded one, whose
+  // progress counts epoch attempts.
+  int64_t pairs_per_progress;
+};
+
+// The learning rate and gradient clip of one epoch attempt. The rate
+// decays linearly over the exact pair count of the whole run, floored at
+// 1e-4 of the (backoff-scaled) base rate.
+struct EpochSchedule {
+  double scaled_lr;  // options.learning_rate * lr_scale.
+  int64_t total_pairs;
+  double clip;
+
+  [[nodiscard]] double Lr(int64_t seen) const {
+    return scaled_lr *
+           std::max(1e-4, 1.0 - static_cast<double>(seen) / total_pairs);
+  }
+};
+
+// Runs one trainer from validation to the trained model: checks the
+// options, resumes from the newest matching checkpoint or initialises the
+// model from `init_rng`, then for each epoch calls
+// run_epoch(model, noise, schedule, progress) — which trains one pass,
+// advances `progress` and returns the pass's summed loss — and after it
+// reports the epoch-end LR, checks numeric health (retrying the epoch with
+// LR and clip backoff, reseeding rows from `state_rng`, up to
+// recovery.max_retries) and saves the checkpoint. `state_rng` is the
+// engine a checkpoint saves and restores.
+template <typename RunEpoch>
+StatusOr<SgnsModel> RunEpochs(const TrainInput& in, const SgnsOptions& options,
+                              const TrainerTraits& traits, Rng& init_rng,
+                              Rng& state_rng, Budget& budget,
+                              RunEpoch&& run_epoch) {
   if (Status status = ValidateSgnsOptions(options); !status.ok()) {
     return status;
   }
@@ -189,166 +206,96 @@ StatusOr<SgnsModel> Train(SentenceSource& source, const StreamStats& stats,
       !status.ok()) {
     return status;
   }
-  if (budget.Exhausted()) return budget.ExhaustedError(kOperation);
-  X2VEC_CHECK_GT(rows_in, 0);
-  X2VEC_CHECK_GT(rows_out, 0);
+  if (budget.Exhausted()) return budget.ExhaustedError(traits.operation);
+  X2VEC_CHECK_GT(in.rows_in, 0);
+  X2VEC_CHECK_GT(in.rows_out, 0);
   X2VEC_METRIC_GAUGE("kernels.backend",
                      static_cast<double>(linalg::ActiveKernelBackend()));
+  const int dim = options.dimension;
   const CheckpointOptions& ckpt = options.checkpoint;
-  constexpr CheckpointKind kKind = CheckpointKind::kSgnsSequential;
   const uint64_t fingerprint =
-      ckpt.enabled()
-          ? SgnsFingerprint(kKind, source, stats.num_sentences, noise_weights,
-                            rows_in, rows_out, skipgram_window, options,
-                            /*seed=*/0)
-          : 0;
+      ckpt.enabled() ? SgnsFingerprint(traits.kind, in, options, traits.seed)
+                     : 0;
 
   SgnsModel model;
-  const double init = 0.5 / options.dimension;
+  const double init = 0.5 / dim;
   const RecoveryPolicy& recovery = options.recovery;
-  double lr_scale = 1.0;  // Halved on each numeric recovery.
-  double clip = recovery.clip_norm;
-  int retries = 0;
-  int64_t seen = 0;
-  int start_epoch = 0;
+  SgnsResumeState state;  // lr_scale is halved on each numeric recovery.
+  state.clip = recovery.clip_norm;
 
   bool resumed = false;
   if (ckpt.enabled()) {
     StatusOr<std::optional<CheckpointData>> loaded =
-        LoadLatestCheckpoint(ckpt, kKind, fingerprint);
+        LoadLatestCheckpoint(ckpt, traits.kind, fingerprint);
     if (!loaded.ok()) return loaded.status();
     if (loaded->has_value()) {
-      SgnsResumeState state;
       if (Status status = DecodeSgnsState(**loaded, model, state);
           !status.ok()) {
         return status;
       }
-      if (model.input.rows() != rows_in ||
-          model.input.cols() != options.dimension ||
-          model.output.rows() != rows_out ||
-          model.output.cols() != options.dimension) {
+      if (model.input.rows() != in.rows_in || model.input.cols() != dim ||
+          model.output.rows() != in.rows_out || model.output.cols() != dim) {
         return Status::CorruptedData(
             "checkpoint model shape does not match this run's "
             "(rows, dimension)");
       }
       // Restoring the engine replays the exact draw sequence the
       // uninterrupted run would have continued with.
-      if (Status status = rng.LoadEngineState(state.rng_state); !status.ok()) {
+      if (Status status = state_rng.LoadEngineState(state.rng_state);
+          !status.ok()) {
         return status;
       }
-      start_epoch = state.next_epoch;
-      seen = state.progress;
-      lr_scale = state.lr_scale;
-      clip = state.clip;
-      retries = state.retries;
       resumed = true;
       X2VEC_METRIC_COUNT("checkpoint.resumes", 1);
     }
   }
   if (!resumed) {
-    model.input = linalg::Matrix(rows_in, options.dimension);
+    model.input = linalg::Matrix(in.rows_in, dim);
     for (double& v : model.input.mutable_data()) {
-      v = UniformReal(rng, -init, init);
+      v = UniformReal(init_rng, -init, init);
     }
-    model.output = linalg::Matrix(rows_out, options.dimension);  // Zeros.
+    model.output = linalg::Matrix(in.rows_out, dim);  // Zeros.
   }
 
-  const AliasTable noise(noise_weights);
-
-  // Exact window-clipped positive pairs per epoch, for the linear LR
-  // decay — the same accounting TrainSharded uses, so both trainers see
-  // one schedule. The caller's single streaming counting pass supplies the
-  // total; each epoch is one fresh pass over the source.
-  const int64_t pairs_per_epoch = stats.pairs_per_epoch;
+  const AliasTable noise(in.noise_weights);
+  const int64_t pairs_per_epoch = in.stats.pairs_per_epoch;
   const int64_t total_pairs =
       std::max<int64_t>(1, pairs_per_epoch * options.epochs);
 
-  trace::Span train_span("sgns.train");
-  std::vector<double> center_gradient(options.dimension);
-  std::vector<int> seq;
-  for (int epoch = start_epoch; epoch < options.epochs; ++epoch) {
+  trace::Span train_span(traits.span);
+  for (int epoch = state.next_epoch; epoch < options.epochs; ++epoch) {
     trace::Span epoch_span("sgns.epoch");
-    double epoch_loss = 0.0;
-    source.Reset();
-    int64_t s = 0;
-    while (source.Next(seq)) {
-      for (size_t pos = 0; pos < seq.size(); ++pos) {
-        const double progress = static_cast<double>(seen) / total_pairs;
-        const double lr = options.learning_rate * lr_scale *
-                          std::max(1e-4, 1.0 - progress);
-        if (skipgram_window) {
-          const int center = seq[pos];
-          const int lo = std::max<int>(0, static_cast<int>(pos) -
-                                              options.window);
-          const int hi = std::min<int>(static_cast<int>(seq.size()) - 1,
-                                       static_cast<int>(pos) + options.window);
-          for (int other = lo; other <= hi; ++other) {
-            if (other == static_cast<int>(pos)) continue;
-            if (!budget.Spend(1)) return budget.ExhaustedError(kOperation);
-            X2VEC_METRIC_COUNT("sgns.pairs", 1);
-            std::fill(center_gradient.begin(), center_gradient.end(), 0.0);
-            epoch_loss += UpdatePair(model.input, model.output, center,
-                                     seq[other], 1.0, lr, center_gradient);
-            for (int k = 0; k < options.negatives; ++k) {
-              const int negative = SampleNegative(noise, seq[other], rng);
-              if (negative < 0) continue;
-              X2VEC_METRIC_COUNT("sgns.negatives", 1);
-              epoch_loss += UpdatePair(model.input, model.output, center,
-                                       negative, 0.0, lr, center_gradient);
-            }
-            linalg::ClipGradient(center_gradient, clip);
-            linalg::Axpy(1.0, center_gradient, model.input.RowSpan(center));
-            ++seen;
-          }
-        } else {
-          // PV-DBOW: the document id is the centre, the token the context.
-          if (!budget.Spend(1)) return budget.ExhaustedError(kOperation);
-          X2VEC_METRIC_COUNT("sgns.pairs", 1);
-          const int doc = static_cast<int>(s);
-          std::fill(center_gradient.begin(), center_gradient.end(), 0.0);
-          epoch_loss += UpdatePair(model.input, model.output, doc, seq[pos],
-                                   1.0, lr, center_gradient);
-          for (int k = 0; k < options.negatives; ++k) {
-            const int negative = SampleNegative(noise, seq[pos], rng);
-            if (negative < 0) continue;
-            X2VEC_METRIC_COUNT("sgns.negatives", 1);
-            epoch_loss += UpdatePair(model.input, model.output, doc, negative,
-                                     0.0, lr, center_gradient);
-          }
-          linalg::ClipGradient(center_gradient, clip);
-          linalg::Axpy(1.0, center_gradient, model.input.RowSpan(doc));
-          ++seen;
-        }
-      }
-      ++s;
-    }
-
+    const EpochSchedule schedule{options.learning_rate * state.lr_scale,
+                                 total_pairs, state.clip};
+    StatusOr<double> epoch_loss =
+        run_epoch(model, noise, schedule, state.progress);
+    if (!epoch_loss.ok()) return epoch_loss.status();
     epoch_span.AddWork(pairs_per_epoch);
-    // LR the next pair would train at, from the exact schedule position;
-    // `seen` advances across retried epochs exactly like the sharded
-    // trainer's attempt counter, so both trainers report identical values
-    // at matching epoch boundaries.
+    train_span.AddWork(pairs_per_epoch);
+    // LR the next pair would train at. Progress advances across retried
+    // epochs in both trainers, so they report identical values at
+    // matching epoch boundaries.
     X2VEC_METRIC_GAUGE("sgns.lr_epoch_end",
-                       options.learning_rate * lr_scale *
-                           std::max(1e-4, 1.0 - static_cast<double>(seen) /
-                                                    total_pairs));
+                       schedule.Lr(state.progress * traits.pairs_per_progress));
 
     // Per-epoch numeric health check with bounded self-healing.
-    const bool healthy = std::isfinite(epoch_loss) &&
+    const bool healthy = std::isfinite(*epoch_loss) &&
                          linalg::MatrixHealthy(model.input, recovery.max_abs) &&
                          linalg::MatrixHealthy(model.output, recovery.max_abs);
     if (!healthy) {
-      if (++retries > recovery.max_retries) {
+      if (++state.retries > recovery.max_retries) {
         return Status::Internal(
-            "SGNS training diverged (non-finite or runaway parameters) and "
-            "exhausted " +
+            std::string(traits.operation) +
+            " diverged (non-finite or runaway parameters) and exhausted " +
             std::to_string(recovery.max_retries) + " recovery retries");
       }
       X2VEC_METRIC_COUNT("sgns.recovery_retries", 1);
-      lr_scale *= recovery.lr_backoff;
-      clip *= recovery.clip_backoff;
-      linalg::ReseedUnhealthyRows(model.input, init, recovery.max_abs, rng);
-      linalg::ReseedUnhealthyRows(model.output, init, recovery.max_abs, rng);
+      state.lr_scale *= recovery.lr_backoff;
+      state.clip *= recovery.clip_backoff;
+      linalg::ReseedUnhealthyRows(model.input, init, recovery.max_abs,
+                                  state_rng);
+      linalg::ReseedUnhealthyRows(model.output, init, recovery.max_abs,
+                                  state_rng);
       --epoch;  // Retry the failed epoch with the gentler settings.
       continue;
     }
@@ -357,22 +304,80 @@ StatusOr<SgnsModel> Train(SentenceSource& source, const StreamStats& stats,
     // resumed run needs to finish bit-identically. A save failure is a
     // typed error, not a silent skip — the caller asked for durability.
     if (ckpt.enabled() && (epoch + 1) % ckpt.every_n_epochs == 0) {
-      SgnsResumeState state{epoch + 1, seen, lr_scale, clip, retries,
-                            rng.SaveEngineState()};
+      state.next_epoch = epoch + 1;
+      state.rng_state = state_rng.SaveEngineState();
       if (Status status = SaveCheckpoint(
-              ckpt, epoch + 1, EncodeSgnsState(kKind, fingerprint, model, state));
+              ckpt, epoch + 1,
+              EncodeSgnsState(traits.kind, fingerprint, model, state));
           !status.ok()) {
         return status;
       }
     }
   }
-  train_span.AddWork(seen);
   return model;
 }
 
-// ---- Sharded deterministic parallel trainer.
+// ---- Sequential trainer: plain SGD, one pair at a time, all noise draws
+// from the caller's generator.
 
-constexpr std::string_view kShardOperation = "sharded SGNS training";
+StatusOr<SgnsModel> Train(const TrainInput& in, const SgnsOptions& options,
+                          Rng& rng, Budget& budget) {
+  constexpr TrainerTraits kTraits{CheckpointKind::kSgnsSequential,
+                                  "SGNS training", "sgns.train",
+                                  /*seed=*/0, /*pairs_per_progress=*/1};
+  std::vector<double> center_gradient(options.dimension);
+  std::vector<int> seq;
+  return RunEpochs(
+      in, options, kTraits, rng, rng, budget,
+      [&](SgnsModel& model, const AliasTable& noise,
+          const EpochSchedule& schedule, int64_t& seen) -> StatusOr<double> {
+        double loss = 0.0;
+        in.source.Reset();
+        for (int64_t s = 0; in.source.Next(seq); ++s) {
+          // Every pair of one centre position trains at the LR of the
+          // position's first pair (the sharded trainer prices each pair at
+          // its own slot); the golden digests pin both schedules.
+          int lr_pos = -1;
+          double lr = 0.0;
+          const bool finished = ForEachPair(
+              seq, static_cast<int>(s), options.window, in.skipgram_window,
+              [&](int pos, int center, int context) {
+                if (!budget.Spend(1)) return false;
+                X2VEC_METRIC_COUNT("sgns.pairs", 1);
+                if (pos != lr_pos) {
+                  lr = schedule.Lr(seen);
+                  lr_pos = pos;
+                }
+                // The fused span kernel updates the context row in place
+                // and accumulates the centre row's step, which is applied
+                // (clipped) once the negatives are done.
+                std::fill(center_gradient.begin(), center_gradient.end(),
+                          0.0);
+                loss += linalg::SgdPairUpdate(
+                    model.input.ConstRowSpan(center),
+                    model.output.RowSpan(context), 1.0, lr, center_gradient);
+                for (int k = 0; k < options.negatives; ++k) {
+                  const int negative = SampleNegative(noise, context, rng);
+                  if (negative < 0) continue;
+                  X2VEC_METRIC_COUNT("sgns.negatives", 1);
+                  loss += linalg::SgdPairUpdate(
+                      model.input.ConstRowSpan(center),
+                      model.output.RowSpan(negative), 0.0, lr,
+                      center_gradient);
+                }
+                linalg::ClipGradient(center_gradient, schedule.clip);
+                linalg::Axpy(1.0, center_gradient,
+                             model.input.RowSpan(center));
+                ++seen;
+                return true;
+              });
+          if (!finished) return budget.ExhaustedError(kTraits.operation);
+        }
+        return loss;
+      });
+}
+
+// ---- Sharded deterministic parallel trainer.
 
 // Sequences per synchronous mini-batch: small enough that parameters stay
 // fresh (close to sequential SGD on test-scale corpora), large enough to
@@ -398,114 +403,19 @@ struct ShardDelta {
   }
 };
 
-// Frozen-parameter analogue of UpdatePair: the score is read from the
-// batch-start matrices and both updates land in the shard instead of the
-// live parameters. Returns the pair's negative log-likelihood.
-double ShardPair(const linalg::Matrix& input, const linalg::Matrix& output,
-                 int center, int context, double label, double lr,
-                 std::vector<double>& center_gradient, ShardDelta& delta) {
-  return linalg::SgdPairUpdateDelta(
-      input.ConstRowSpan(center), output.ConstRowSpan(context), label, lr,
-      center_gradient, delta.output_rows.Accumulator(context));
-}
-
-StatusOr<SgnsModel> TrainSharded(SentenceSource& source,
-                                 const StreamStats& stats,
-                                 const std::vector<double>& noise_weights,
-                                 int rows_in, int rows_out,
-                                 bool skipgram_window,
+StatusOr<SgnsModel> TrainSharded(const TrainInput& in,
                                  const SgnsOptions& options, uint64_t seed,
                                  Budget& budget) {
-  if (Status status = ValidateSgnsOptions(options); !status.ok()) {
-    return status;
-  }
-  if (Status status = ValidateCheckpointOptions(options.checkpoint);
-      !status.ok()) {
-    return status;
-  }
-  if (budget.Exhausted()) return budget.ExhaustedError(kShardOperation);
-  X2VEC_CHECK_GT(rows_in, 0);
-  X2VEC_CHECK_GT(rows_out, 0);
-  X2VEC_METRIC_GAUGE("kernels.backend",
-                     static_cast<double>(linalg::ActiveKernelBackend()));
-  const int dim = options.dimension;
-  const CheckpointOptions& ckpt = options.checkpoint;
-  constexpr CheckpointKind kKind = CheckpointKind::kSgnsSharded;
-  const uint64_t fingerprint =
-      ckpt.enabled()
-          ? SgnsFingerprint(kKind, source, stats.num_sentences, noise_weights,
-                            rows_in, rows_out, skipgram_window, options, seed)
-          : 0;
-
-  SgnsModel model;
-  const double init = 0.5 / dim;
-  const RecoveryPolicy& recovery = options.recovery;
-  double lr_scale = 1.0;  // Halved on each numeric recovery.
-  double clip = recovery.clip_norm;
-  int retries = 0;
+  const TrainerTraits traits{CheckpointKind::kSgnsSharded,
+                             "sharded SGNS training", "sgns.train_sharded",
+                             seed, in.stats.pairs_per_epoch};
+  // Stream 0 of the seed initialises; streams of MixSeed(seed, 1 + attempt)
+  // drive the per-sequence noise draws of each epoch attempt; the ~0
+  // stream reseeds rows during numeric recovery.
+  Rng init_rng = Rng::Fork(seed, 0);
   Rng recovery_rng = Rng::Fork(seed, ~uint64_t{0});
-  // Epoch attempts (retries included) drive both the noise streams and the
-  // schedule offset, mirroring the sequential trainer's ever-advancing
-  // generator and pair counter across retried epochs.
-  int64_t attempt = 0;
-  int start_epoch = 0;
-
-  bool resumed = false;
-  if (ckpt.enabled()) {
-    StatusOr<std::optional<CheckpointData>> loaded =
-        LoadLatestCheckpoint(ckpt, kKind, fingerprint);
-    if (!loaded.ok()) return loaded.status();
-    if (loaded->has_value()) {
-      SgnsResumeState state;
-      if (Status status = DecodeSgnsState(**loaded, model, state);
-          !status.ok()) {
-        return status;
-      }
-      if (model.input.rows() != rows_in || model.input.cols() != dim ||
-          model.output.rows() != rows_out || model.output.cols() != dim) {
-        return Status::CorruptedData(
-            "checkpoint model shape does not match this run's "
-            "(rows, dimension)");
-      }
-      if (Status status = recovery_rng.LoadEngineState(state.rng_state);
-          !status.ok()) {
-        return status;
-      }
-      start_epoch = state.next_epoch;
-      attempt = state.progress;
-      lr_scale = state.lr_scale;
-      clip = state.clip;
-      retries = state.retries;
-      resumed = true;
-      X2VEC_METRIC_COUNT("checkpoint.resumes", 1);
-    }
-  }
-  if (!resumed) {
-    model.input = linalg::Matrix(rows_in, dim);
-    // Stream 0 of the seed initialises; streams of MixSeed(seed, 1 + attempt)
-    // drive the per-sequence noise draws of each epoch attempt; the ~0
-    // stream reseeds rows during numeric recovery.
-    Rng init_rng = Rng::Fork(seed, 0);
-    for (double& v : model.input.mutable_data()) {
-      v = UniformReal(init_rng, -init, init);
-    }
-    model.output = linalg::Matrix(rows_out, dim);  // Zeros.
-  }
-
-  const AliasTable noise(noise_weights);
-
-  // The exact pairs-per-epoch total from the caller's streaming counting
-  // pass: every pair's slot in the global learning-rate schedule is still
-  // known up front — within a batch from the per-batch prefix sums below,
-  // across batches from the running pair_base — so shards agree on the
-  // schedule without a shared counter and without materialising the
-  // corpus-wide prefix array.
-  const int64_t pairs_per_epoch = stats.pairs_per_epoch;
-  const int64_t total_pairs =
-      std::max<int64_t>(1, pairs_per_epoch * options.epochs);
-
+  const int dim = options.dimension;
   BudgetGate gate(budget);
-  trace::Span train_span("sgns.train_sharded");
   // Shard storage reused across batches and epochs: Reset() keeps each
   // buffer's capacity, so steady-state training allocates nothing per
   // sequence. The batch window is the only materialised slice of the
@@ -513,181 +423,172 @@ StatusOr<SgnsModel> TrainSharded(SentenceSource& source,
   std::vector<ShardDelta> deltas(kShardBatchSequences);
   std::vector<std::vector<int>> batch(kShardBatchSequences);
   std::vector<int64_t> batch_prefix(kShardBatchSequences + 1, 0);
-  for (int epoch = start_epoch; epoch < options.epochs; ++epoch, ++attempt) {
-    trace::Span epoch_span("sgns.epoch");
-    const uint64_t epoch_base = MixSeed(seed, 1 + static_cast<uint64_t>(attempt));
-    const int64_t seen_base = attempt * pairs_per_epoch;
-    double epoch_loss = 0.0;
-    Status epoch_status = Status::Ok();
-    source.Reset();
-    int64_t batch_lo = 0;   // Global index of the batch's first sequence.
-    int64_t pair_base = 0;  // Positive pairs in sequences [0, batch_lo).
-    bool more = true;
-    while (more && epoch_status.ok()) {
-      // Pull the next synchronous mini-batch. Batch boundaries fall at the
-      // same sequence indices as the historical indexed loop: [0, 32),
-      // [32, 64), ...
-      int64_t batch_size = 0;
-      while (batch_size < kShardBatchSequences &&
-             source.Next(batch[batch_size])) {
-        ++batch_size;
-      }
-      more = batch_size == kShardBatchSequences;
-      if (batch_size == 0) break;
-      // Per-batch positive-pair prefix: the global schedule slot of
-      // sequence batch_lo + b is seen_base + pair_base + batch_prefix[b],
-      // exactly the value the corpus-wide PositivePairPrefix used to give.
-      for (int64_t b = 0; b < batch_size; ++b) {
-        batch_prefix[b + 1] =
-            batch_prefix[b] +
-            SequencePairs(batch[b], options.window, skipgram_window);
-      }
-      epoch_status = ParallelFor(
-          batch_size, 0, [&](int64_t lo, int64_t hi) {
-            std::vector<double> center_gradient(dim);
-            for (int64_t b = lo; b < hi; ++b) {
-              const int64_t s = batch_lo + b;
-              const std::vector<int>& seq = batch[b];
-              const int64_t seq_pairs = batch_prefix[b + 1] - batch_prefix[b];
-              if (seq_pairs > 0 && !gate.Spend(seq_pairs)) {
-                return gate.ExhaustedError(kShardOperation);
-              }
-              ShardDelta& delta = deltas[b];
-              delta.Reset(rows_in, rows_out, dim);
-              Rng rng = Rng::Fork(epoch_base, static_cast<uint64_t>(s));
-              int64_t seen = seen_base + pair_base + batch_prefix[b];
-              const int len = static_cast<int>(seq.size());
-              for (int pos = 0; pos < len; ++pos) {
-                if (skipgram_window) {
-                  const int center = seq[pos];
-                  const int wlo = std::max(0, pos - options.window);
-                  const int whi = std::min(len - 1, pos + options.window);
-                  for (int other = wlo; other <= whi; ++other) {
-                    if (other == pos) continue;
-                    X2VEC_METRIC_COUNT("sgns.pairs", 1);
-                    const double progress =
-                        static_cast<double>(seen) / total_pairs;
-                    const double lr = options.learning_rate * lr_scale *
-                                      std::max(1e-4, 1.0 - progress);
-                    std::fill(center_gradient.begin(), center_gradient.end(),
-                              0.0);
-                    delta.loss +=
-                        ShardPair(model.input, model.output, center,
-                                  seq[other], 1.0, lr, center_gradient, delta);
-                    for (int k = 0; k < options.negatives; ++k) {
-                      const int negative =
-                          SampleNegative(noise, seq[other], rng);
-                      if (negative < 0) continue;
-                      X2VEC_METRIC_COUNT("sgns.negatives", 1);
-                      delta.loss +=
-                          ShardPair(model.input, model.output, center,
-                                    negative, 0.0, lr, center_gradient, delta);
-                    }
-                    linalg::ClipGradient(center_gradient, clip);
-                    linalg::Axpy(1.0, center_gradient,
-                                 delta.input_rows.Accumulator(center));
-                    ++seen;
+  return RunEpochs(
+      in, options, traits, init_rng, recovery_rng, budget,
+      [&](SgnsModel& model, const AliasTable& noise,
+          const EpochSchedule& schedule,
+          int64_t& attempt) -> StatusOr<double> {
+        // Epoch attempts (retries included) drive both the noise streams
+        // and the schedule offset, mirroring the sequential trainer's
+        // ever-advancing generator and pair counter across retried epochs.
+        const uint64_t epoch_base =
+            MixSeed(seed, 1 + static_cast<uint64_t>(attempt));
+        const int64_t seen_base = attempt * in.stats.pairs_per_epoch;
+        double loss = 0.0;
+        in.source.Reset();
+        int64_t batch_lo = 0;   // Global index of the batch's first sequence.
+        int64_t pair_base = 0;  // Positive pairs in sequences [0, batch_lo).
+        for (bool more = true; more;) {
+          // Pull the next synchronous mini-batch: [0, 32), [32, 64), ...
+          int64_t batch_size = 0;
+          while (batch_size < kShardBatchSequences &&
+                 in.source.Next(batch[batch_size])) {
+            ++batch_size;
+          }
+          more = batch_size == kShardBatchSequences;
+          if (batch_size == 0) break;
+          // Per-batch pair prefix: the global schedule slot of sequence
+          // batch_lo + b is seen_base + pair_base + batch_prefix[b], so
+          // shards agree on the schedule without a shared counter.
+          for (int64_t b = 0; b < batch_size; ++b) {
+            batch_prefix[b + 1] =
+                batch_prefix[b] +
+                SequencePairs(static_cast<int64_t>(batch[b].size()),
+                              options.window, in.skipgram_window);
+          }
+          const Status status = ParallelFor(
+              batch_size, 0, [&](int64_t lo, int64_t hi) {
+                std::vector<double> center_gradient(dim);
+                for (int64_t b = lo; b < hi; ++b) {
+                  const int64_t s = batch_lo + b;
+                  const int64_t seq_pairs =
+                      batch_prefix[b + 1] - batch_prefix[b];
+                  if (seq_pairs > 0 && !gate.Spend(seq_pairs)) {
+                    return gate.ExhaustedError(traits.operation);
                   }
-                } else {
-                  const int doc = static_cast<int>(s);
-                  X2VEC_METRIC_COUNT("sgns.pairs", 1);
-                  const double progress =
-                      static_cast<double>(seen) / total_pairs;
-                  const double lr = options.learning_rate * lr_scale *
-                                    std::max(1e-4, 1.0 - progress);
-                  std::fill(center_gradient.begin(), center_gradient.end(),
-                            0.0);
-                  delta.loss +=
-                      ShardPair(model.input, model.output, doc, seq[pos], 1.0,
-                                lr, center_gradient, delta);
-                  for (int k = 0; k < options.negatives; ++k) {
-                    const int negative = SampleNegative(noise, seq[pos], rng);
-                    if (negative < 0) continue;
-                    X2VEC_METRIC_COUNT("sgns.negatives", 1);
-                    delta.loss +=
-                        ShardPair(model.input, model.output, doc, negative,
-                                  0.0, lr, center_gradient, delta);
-                  }
-                  linalg::ClipGradient(center_gradient, clip);
-                  linalg::Axpy(1.0, center_gradient,
-                               delta.input_rows.Accumulator(doc));
-                  ++seen;
+                  ShardDelta& delta = deltas[b];
+                  delta.Reset(in.rows_in, in.rows_out, dim);
+                  Rng rng = Rng::Fork(epoch_base, static_cast<uint64_t>(s));
+                  int64_t seen = seen_base + pair_base + batch_prefix[b];
+                  ForEachPair(
+                      batch[b], static_cast<int>(s), options.window,
+                      in.skipgram_window, [&](int, int center, int context) {
+                        X2VEC_METRIC_COUNT("sgns.pairs", 1);
+                        const double lr = schedule.Lr(seen);
+                        // Frozen-parameter pair step: scores read the
+                        // batch-start matrices and both updates land in
+                        // the shard instead of the live parameters.
+                        std::fill(center_gradient.begin(),
+                                  center_gradient.end(), 0.0);
+                        delta.loss += linalg::SgdPairUpdateDelta(
+                            model.input.ConstRowSpan(center),
+                            model.output.ConstRowSpan(context), 1.0, lr,
+                            center_gradient,
+                            delta.output_rows.Accumulator(context));
+                        for (int k = 0; k < options.negatives; ++k) {
+                          const int negative =
+                              SampleNegative(noise, context, rng);
+                          if (negative < 0) continue;
+                          X2VEC_METRIC_COUNT("sgns.negatives", 1);
+                          delta.loss += linalg::SgdPairUpdateDelta(
+                              model.input.ConstRowSpan(center),
+                              model.output.ConstRowSpan(negative), 0.0, lr,
+                              center_gradient,
+                              delta.output_rows.Accumulator(negative));
+                        }
+                        linalg::ClipGradient(center_gradient, schedule.clip);
+                        linalg::Axpy(1.0, center_gradient,
+                                     delta.input_rows.Accumulator(center));
+                        ++seen;
+                        return true;
+                      });
                 }
-              }
+                return Status::Ok();
+              });
+          if (!status.ok()) return status;
+          // Serial apply in sequence order: the fold order is fixed by the
+          // data, not by which worker produced which shard.
+          for (int64_t b = 0; b < batch_size; ++b) {
+            ShardDelta& d = deltas[b];
+            loss += d.loss;
+            const std::vector<int>& in_rows = d.input_rows.touched();
+            for (size_t t = 0; t < in_rows.size(); ++t) {
+              linalg::Axpy(1.0, d.input_rows.Slot(static_cast<int>(t)),
+                           model.input.RowSpan(in_rows[t]));
             }
-            return Status::Ok();
-          });
-      if (!epoch_status.ok()) break;
-      // Serial apply in sequence order: the fold order is fixed by the
-      // data, not by which worker produced which shard.
-      for (int64_t b = 0; b < batch_size; ++b) {
-        ShardDelta& d = deltas[b];
-        epoch_loss += d.loss;
-        const std::vector<int>& in_rows = d.input_rows.touched();
-        for (size_t t = 0; t < in_rows.size(); ++t) {
-          linalg::Axpy(1.0, d.input_rows.Slot(static_cast<int>(t)),
-                       model.input.RowSpan(in_rows[t]));
+            const std::vector<int>& out_rows = d.output_rows.touched();
+            for (size_t t = 0; t < out_rows.size(); ++t) {
+              linalg::Axpy(1.0, d.output_rows.Slot(static_cast<int>(t)),
+                           model.output.RowSpan(out_rows[t]));
+            }
+          }
+          batch_lo += batch_size;
+          pair_base += batch_prefix[batch_size];
         }
-        const std::vector<int>& out_rows = d.output_rows.touched();
-        for (size_t t = 0; t < out_rows.size(); ++t) {
-          linalg::Axpy(1.0, d.output_rows.Slot(static_cast<int>(t)),
-                       model.output.RowSpan(out_rows[t]));
-        }
-      }
-      batch_lo += batch_size;
-      pair_base += batch_prefix[batch_size];
-    }
-    if (!epoch_status.ok()) return epoch_status;
+        ++attempt;
+        return loss;
+      });
+}
 
-    epoch_span.AddWork(pairs_per_epoch);
-    train_span.AddWork(pairs_per_epoch);
-    // Same exact-schedule epoch-end LR as the sequential trainer: the
-    // attempt counter advances across retries exactly like its `seen`.
-    X2VEC_METRIC_GAUGE(
-        "sgns.lr_epoch_end",
-        options.learning_rate * lr_scale *
-            std::max(1e-4, 1.0 - static_cast<double>((attempt + 1) *
-                                                     pairs_per_epoch) /
-                                     total_pairs));
+// ---- Input validation, one helper per objective.
 
-    // Per-epoch numeric health check with bounded self-healing, as in the
-    // sequential trainer.
-    const bool healthy = std::isfinite(epoch_loss) &&
-                         linalg::MatrixHealthy(model.input, recovery.max_abs) &&
-                         linalg::MatrixHealthy(model.output, recovery.max_abs);
-    if (!healthy) {
-      if (++retries > recovery.max_retries) {
-        return Status::Internal(
-            "sharded SGNS training diverged (non-finite or runaway "
-            "parameters) and exhausted " +
-            std::to_string(recovery.max_retries) + " recovery retries");
-      }
-      X2VEC_METRIC_COUNT("sgns.recovery_retries", 1);
-      lr_scale *= recovery.lr_backoff;
-      clip *= recovery.clip_backoff;
-      linalg::ReseedUnhealthyRows(model.input, init, recovery.max_abs,
-                                  recovery_rng);
-      linalg::ReseedUnhealthyRows(model.output, init, recovery.max_abs,
-                                  recovery_rng);
-      --epoch;  // Retry the failed epoch with the gentler settings.
-      continue;
-    }
-
-    // Healthy epoch barrier: persist the resume state. `attempt + 1` is
-    // the attempt counter at the next epoch's start (the for-step has not
-    // run yet), so a resumed run forks the same per-sequence streams the
-    // uninterrupted run would have.
-    if (ckpt.enabled() && (epoch + 1) % ckpt.every_n_epochs == 0) {
-      SgnsResumeState state{epoch + 1, attempt + 1, lr_scale, clip, retries,
-                            recovery_rng.SaveEngineState()};
-      if (Status status = SaveCheckpoint(
-              ckpt, epoch + 1, EncodeSgnsState(kKind, fingerprint, model, state));
-          !status.ok()) {
-        return status;
-      }
-    }
+// A skip-gram stream trains against a noise table over its whole
+// vocabulary: the table must be non-empty and cover every counted token.
+Status CheckSkipGramInput(const StreamStats& stats,
+                          const std::vector<double>& noise_weights) {
+  if (noise_weights.empty()) {
+    return Status::InvalidArgument(
+        "SGNS training needs a non-empty vocabulary (noise table)");
   }
-  return model;
+  if (stats.token_counts.size() > noise_weights.size()) {
+    return Status::InvalidArgument(
+        "SGNS token id exceeds the vocabulary (noise-table) size");
+  }
+  return Status::Ok();
+}
+
+// A PV-DBOW document stream, counted once, with the noise table built
+// from that count.
+struct Documents {
+  StreamStats stats;
+  std::vector<double> noise;
+  int vocab_size = 0;
+
+  TrainInput Input(SentenceSource& source) const {
+    return {source, stats, noise, static_cast<int>(stats.num_sentences),
+            vocab_size, /*skipgram_window=*/false};
+  }
+};
+
+// Makes the counting pass over a document stream and rejects what cannot
+// be trained: a non-positive vocab_size, no documents, a token id beyond
+// vocab_size, or only empty documents (an all-zero noise table cannot be
+// sampled from).
+StatusOr<Documents> CountDocuments(SentenceSource& source, int vocab_size,
+                                   const SgnsOptions& options) {
+  if (vocab_size <= 0) {
+    return Status::InvalidArgument(
+        "PV-DBOW training needs a positive vocab_size");
+  }
+  Documents docs;
+  docs.vocab_size = vocab_size;
+  docs.stats = CountStream(source, options.window,
+                           /*skipgram_window=*/false, vocab_size);
+  if (docs.stats.num_sentences == 0) {
+    return Status::InvalidArgument(
+        "PV-DBOW training needs at least one document");
+  }
+  if (static_cast<int64_t>(docs.stats.token_counts.size()) > vocab_size) {
+    return Status::InvalidArgument("PV-DBOW token id exceeds vocab_size");
+  }
+  if (docs.stats.total_tokens == 0) {
+    return Status::InvalidArgument(
+        "PV-DBOW training needs at least one token across the documents");
+  }
+  X2VEC_CHECK_LE(docs.stats.num_sentences, std::numeric_limits<int>::max());
+  docs.noise =
+      NoiseFromCounts(docs.stats.token_counts, vocab_size, options.noise_power);
+  return docs;
 }
 
 }  // namespace
@@ -697,19 +598,9 @@ std::vector<int64_t> PositivePairPrefix(
     bool skipgram_window) {
   std::vector<int64_t> prefix(sequences.size() + 1, 0);
   for (size_t s = 0; s < sequences.size(); ++s) {
-    const std::vector<int>& seq = sequences[s];
-    int64_t pairs = 0;
-    if (skipgram_window) {
-      const int len = static_cast<int>(seq.size());
-      for (int pos = 0; pos < len; ++pos) {
-        const int lo = std::max(0, pos - window);
-        const int hi = std::min(len - 1, pos + window);
-        pairs += hi - lo;  // Excludes the centre itself.
-      }
-    } else {
-      pairs = static_cast<int64_t>(seq.size());
-    }
-    prefix[s + 1] = prefix[s] + pairs;
+    prefix[s + 1] =
+        prefix[s] + SequencePairs(static_cast<int64_t>(sequences[s].size()),
+                                  window, skipgram_window);
   }
   return prefix;
 }
@@ -743,101 +634,47 @@ SgnsModel TrainPvDbow(const std::vector<std::vector<int>>& documents,
   return *TrainPvDbowBudgeted(documents, vocab_size, options, rng, unlimited);
 }
 
+// The corpus-based trainers adapt their in-memory input through
+// CorpusSource onto the streaming entry of the same mode. The adapter
+// replays the corpus verbatim — same sentences, same order, same draws.
+
 StatusOr<SgnsModel> TrainSgnsBudgeted(const Corpus& corpus,
                                       const SgnsOptions& options, Rng& rng,
                                       Budget& budget) {
-  if (corpus.vocab.size() == 0) {
-    return Status::InvalidArgument("SGNS training needs a non-empty vocabulary");
-  }
-  // The adapter replays the materialised corpus verbatim — same sentences,
-  // same order, same draws — so this path stays bit-identical to the
-  // historical in-memory trainer.
   CorpusSource source(corpus.sentences);
-  const StreamStats stats = CountStream(source, options.window,
-                                        /*skipgram_window=*/true,
-                                        corpus.vocab.size());
-  return Train(source, stats,
-               corpus.vocab.NoiseDistribution(options.noise_power),
-               corpus.vocab.size(), corpus.vocab.size(),
-               /*skipgram_window=*/true, options, rng, budget);
-}
-
-StatusOr<std::vector<double>> PvDbowNoiseDistribution(
-    const std::vector<std::vector<int>>& documents, int vocab_size,
-    double noise_power) {
-  if (vocab_size <= 0) {
-    return Status::InvalidArgument(
-        "PV-DBOW training needs a positive vocab_size");
-  }
-  if (documents.empty()) {
-    return Status::InvalidArgument(
-        "PV-DBOW training needs at least one document");
-  }
-  std::vector<double> counts(vocab_size, 0.0);
-  int64_t total_tokens = 0;
-  for (const auto& doc : documents) {
-    for (int token : doc) {
-      X2VEC_CHECK(token >= 0 && token < vocab_size);
-      counts[token] += 1.0;
-      ++total_tokens;
-    }
-  }
-  if (total_tokens == 0) {
-    // All documents empty: an all-zero noise table cannot be sampled from,
-    // and there are no positive pairs to train on either.
-    return Status::InvalidArgument(
-        "PV-DBOW training needs at least one token across the documents");
-  }
-  // Unigram^power on the raw counts — the same convention as
-  // Vocabulary::NoiseDistribution: pow(0, power) == 0, so a token with no
-  // occurrences has zero probability of being drawn as a negative. (The
-  // historical clamp max(c, 1e-9) gave never-observed tokens nonzero noise
-  // weight, silently diverging from the SGNS path.)
-  for (double& c : counts) c = std::pow(c, noise_power);
-  return counts;
+  return TrainSgnsStreaming(
+      source,
+      CountStream(source, options.window, /*skipgram_window=*/true,
+                  corpus.vocab.size()),
+      corpus.vocab.NoiseDistribution(options.noise_power), options, rng,
+      budget);
 }
 
 StatusOr<SgnsModel> TrainPvDbowBudgeted(
     const std::vector<std::vector<int>>& documents, int vocab_size,
     const SgnsOptions& options, Rng& rng, Budget& budget) {
-  StatusOr<std::vector<double>> counts =
-      PvDbowNoiseDistribution(documents, vocab_size, options.noise_power);
-  if (!counts.ok()) return counts.status();
   CorpusSource source(documents);
-  const StreamStats stats = CountStream(source, options.window,
-                                        /*skipgram_window=*/false, vocab_size);
-  return Train(source, stats, *counts, static_cast<int>(documents.size()),
-               vocab_size, /*skipgram_window=*/false, options, rng, budget);
+  return TrainPvDbowStreaming(source, vocab_size, options, rng, budget);
 }
 
 StatusOr<SgnsModel> TrainSgnsSharded(const Corpus& corpus,
                                      const SgnsOptions& options, uint64_t seed,
                                      Budget& budget) {
-  if (corpus.vocab.size() == 0) {
-    return Status::InvalidArgument("SGNS training needs a non-empty vocabulary");
-  }
   CorpusSource source(corpus.sentences);
-  const StreamStats stats = CountStream(source, options.window,
-                                        /*skipgram_window=*/true,
-                                        corpus.vocab.size());
-  return TrainSharded(source, stats,
-                      corpus.vocab.NoiseDistribution(options.noise_power),
-                      corpus.vocab.size(), corpus.vocab.size(),
-                      /*skipgram_window=*/true, options, seed, budget);
+  return TrainSgnsShardedStreaming(
+      source,
+      CountStream(source, options.window, /*skipgram_window=*/true,
+                  corpus.vocab.size()),
+      corpus.vocab.NoiseDistribution(options.noise_power), options, seed,
+      budget);
 }
 
 StatusOr<SgnsModel> TrainPvDbowSharded(
     const std::vector<std::vector<int>>& documents, int vocab_size,
     const SgnsOptions& options, uint64_t seed, Budget& budget) {
-  StatusOr<std::vector<double>> counts =
-      PvDbowNoiseDistribution(documents, vocab_size, options.noise_power);
-  if (!counts.ok()) return counts.status();
   CorpusSource source(documents);
-  const StreamStats stats = CountStream(source, options.window,
-                                        /*skipgram_window=*/false, vocab_size);
-  return TrainSharded(source, stats, *counts,
-                      static_cast<int>(documents.size()), vocab_size,
-                      /*skipgram_window=*/false, options, seed, budget);
+  return TrainPvDbowShardedStreaming(source, vocab_size, options, seed,
+                                     budget);
 }
 
 StatusOr<SgnsModel> TrainSgnsStreaming(SentenceSource& source,
@@ -845,123 +682,44 @@ StatusOr<SgnsModel> TrainSgnsStreaming(SentenceSource& source,
                                        const std::vector<double>& noise_weights,
                                        const SgnsOptions& options, Rng& rng,
                                        Budget& budget) {
-  if (noise_weights.empty()) {
-    return Status::InvalidArgument(
-        "streaming SGNS training needs a non-empty noise table");
+  if (Status status = CheckSkipGramInput(stats, noise_weights); !status.ok()) {
+    return status;
   }
   const int rows = static_cast<int>(noise_weights.size());
-  if (static_cast<int64_t>(stats.token_counts.size()) > rows) {
-    return Status::InvalidArgument(
-        "streamed token id exceeds the noise-table size");
-  }
-  return Train(source, stats, noise_weights, rows, rows,
-               /*skipgram_window=*/true, options, rng, budget);
-}
-
-StatusOr<SgnsModel> TrainSgnsStreaming(SentenceSource& source,
-                                       const std::vector<double>& noise_weights,
-                                       const SgnsOptions& options, Rng& rng,
-                                       Budget& budget) {
-  if (noise_weights.empty()) {
-    return Status::InvalidArgument(
-        "streaming SGNS training needs a non-empty noise table");
-  }
-  const StreamStats stats =
-      CountStream(source, options.window, /*skipgram_window=*/true,
-                  static_cast<int>(noise_weights.size()));
-  return TrainSgnsStreaming(source, stats, noise_weights, options, rng,
-                            budget);
+  return Train({source, stats, noise_weights, rows, rows,
+                /*skipgram_window=*/true},
+               options, rng, budget);
 }
 
 StatusOr<SgnsModel> TrainSgnsShardedStreaming(
     SentenceSource& source, const StreamStats& stats,
     const std::vector<double>& noise_weights, const SgnsOptions& options,
     uint64_t seed, Budget& budget) {
-  if (noise_weights.empty()) {
-    return Status::InvalidArgument(
-        "streaming SGNS training needs a non-empty noise table");
+  if (Status status = CheckSkipGramInput(stats, noise_weights); !status.ok()) {
+    return status;
   }
   const int rows = static_cast<int>(noise_weights.size());
-  if (static_cast<int64_t>(stats.token_counts.size()) > rows) {
-    return Status::InvalidArgument(
-        "streamed token id exceeds the noise-table size");
-  }
-  return TrainSharded(source, stats, noise_weights, rows, rows,
-                      /*skipgram_window=*/true, options, seed, budget);
-}
-
-StatusOr<SgnsModel> TrainSgnsShardedStreaming(
-    SentenceSource& source, const std::vector<double>& noise_weights,
-    const SgnsOptions& options, uint64_t seed, Budget& budget) {
-  if (noise_weights.empty()) {
-    return Status::InvalidArgument(
-        "streaming SGNS training needs a non-empty noise table");
-  }
-  const StreamStats stats =
-      CountStream(source, options.window, /*skipgram_window=*/true,
-                  static_cast<int>(noise_weights.size()));
-  return TrainSgnsShardedStreaming(source, stats, noise_weights, options,
-                                   seed, budget);
+  return TrainSharded({source, stats, noise_weights, rows, rows,
+                       /*skipgram_window=*/true},
+                      options, seed, budget);
 }
 
 StatusOr<SgnsModel> TrainPvDbowStreaming(SentenceSource& source,
                                          int vocab_size,
                                          const SgnsOptions& options, Rng& rng,
                                          Budget& budget) {
-  if (vocab_size <= 0) {
-    return Status::InvalidArgument(
-        "PV-DBOW training needs a positive vocab_size");
-  }
-  const StreamStats stats = CountStream(source, options.window,
-                                        /*skipgram_window=*/false, vocab_size);
-  if (stats.num_sentences == 0) {
-    return Status::InvalidArgument(
-        "PV-DBOW training needs at least one document");
-  }
-  if (static_cast<int64_t>(stats.token_counts.size()) > vocab_size) {
-    return Status::InvalidArgument(
-        "streamed PV-DBOW token id exceeds vocab_size");
-  }
-  if (stats.total_tokens == 0) {
-    return Status::InvalidArgument(
-        "PV-DBOW training needs at least one token across the documents");
-  }
-  X2VEC_CHECK_LE(stats.num_sentences, std::numeric_limits<int>::max());
-  return Train(
-      source, stats,
-      NoiseFromCounts(stats.token_counts, vocab_size, options.noise_power),
-      static_cast<int>(stats.num_sentences), vocab_size,
-      /*skipgram_window=*/false, options, rng, budget);
+  StatusOr<Documents> docs = CountDocuments(source, vocab_size, options);
+  if (!docs.ok()) return docs.status();
+  return Train(docs->Input(source), options, rng, budget);
 }
 
 StatusOr<SgnsModel> TrainPvDbowShardedStreaming(SentenceSource& source,
                                                 int vocab_size,
                                                 const SgnsOptions& options,
                                                 uint64_t seed, Budget& budget) {
-  if (vocab_size <= 0) {
-    return Status::InvalidArgument(
-        "PV-DBOW training needs a positive vocab_size");
-  }
-  const StreamStats stats = CountStream(source, options.window,
-                                        /*skipgram_window=*/false, vocab_size);
-  if (stats.num_sentences == 0) {
-    return Status::InvalidArgument(
-        "PV-DBOW training needs at least one document");
-  }
-  if (static_cast<int64_t>(stats.token_counts.size()) > vocab_size) {
-    return Status::InvalidArgument(
-        "streamed PV-DBOW token id exceeds vocab_size");
-  }
-  if (stats.total_tokens == 0) {
-    return Status::InvalidArgument(
-        "PV-DBOW training needs at least one token across the documents");
-  }
-  X2VEC_CHECK_LE(stats.num_sentences, std::numeric_limits<int>::max());
-  return TrainSharded(
-      source, stats,
-      NoiseFromCounts(stats.token_counts, vocab_size, options.noise_power),
-      static_cast<int>(stats.num_sentences), vocab_size,
-      /*skipgram_window=*/false, options, seed, budget);
+  StatusOr<Documents> docs = CountDocuments(source, vocab_size, options);
+  if (!docs.ok()) return docs.status();
+  return TrainSharded(docs->Input(source), options, seed, budget);
 }
 
 }  // namespace x2vec::embed

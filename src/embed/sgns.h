@@ -48,10 +48,10 @@ struct SgnsModel {
 /// [0, s] — window-clipped skip-gram pairs (position `pos` of a length-n
 /// sequence pairs with [max(0, pos-window), min(n-1, pos+window)] minus
 /// itself) or, for PV-DBOW, one pair per token. The back entry is the
-/// exact pairs-per-epoch total. Both TrainSgns* and TrainPvDbow* trainers
-/// (sequential and sharded) derive their schedule from this one function,
-/// which is what keeps their learning rates aligned at matching
-/// (epoch, pair) slots; exposed for the schedule-parity tests.
+/// exact pairs-per-epoch total. The per-sequence term is the one CountStream
+/// and both trainers (sequential and sharded) use, which is what keeps
+/// their learning rates aligned at matching (epoch, pair) slots; exposed
+/// for the schedule-parity tests.
 [[nodiscard]] std::vector<int64_t> PositivePairPrefix(
     const std::vector<std::vector<int>>& sequences, int window,
     bool skipgram_window);
@@ -61,19 +61,6 @@ struct SgnsModel {
 /// learning rate), OK otherwise. Zero epochs is valid: it requests the
 /// untrained (randomly initialised) baseline.
 [[nodiscard]] Status ValidateSgnsOptions(const SgnsOptions& options);
-
-/// The PV-DBOW negative-sampling table: per-token occurrence counts over
-/// `documents` raised to `noise_power`, the same unigram^power convention
-/// as Vocabulary::NoiseDistribution — in particular a token that never
-/// occurs keeps weight exactly 0 and is never drawn as a negative (both
-/// trainer families share this contract; see tests/sampling_test.cc).
-/// kInvalidArgument for a non-positive vocab_size, no documents, or the
-/// degenerate all-empty case where no token occurs at all (an all-zero
-/// table cannot be sampled from). Exposed for the sampling-fidelity tests
-/// and the serving layer's workload generators.
-[[nodiscard]] StatusOr<std::vector<double>> PvDbowNoiseDistribution(
-    const std::vector<std::vector<int>>& documents, int vocab_size,
-    double noise_power);
 
 /// Trains skip-gram with negative sampling on a corpus: for each token
 /// occurrence, each context token within the window is a positive pair and
@@ -87,7 +74,9 @@ SgnsModel TrainSgns(const Corpus& corpus, const SgnsOptions& options,
 /// Trains PV-DBOW: each document d (a bag of token ids) predicts its own
 /// tokens; the document vectors are the embedding. `vocab_size` bounds the
 /// token ids. Returns document vectors in `input` and token vectors in
-/// `output`.
+/// `output`. The negative-sampling table is unigram^noise_power over the
+/// documents' token counts (NoiseFromCounts, embed/stream.h): a token that
+/// never occurs keeps weight exactly 0 and is never drawn as a negative.
 SgnsModel TrainPvDbow(const std::vector<std::vector<int>>& documents,
                       int vocab_size, const SgnsOptions& options, Rng& rng);
 
@@ -98,9 +87,10 @@ SgnsModel TrainPvDbow(const std::vector<std::vector<int>>& documents,
 /// reseeds the offending rows and retries the epoch, giving up with
 /// kInternal after `options.recovery.max_retries` cumulative retries.
 /// Returns kResourceExhausted when the budget runs out and kInvalidArgument
-/// for bad options or inputs. With an unlimited budget and a healthy run the
-/// result is bit-identical to the plain functions above (which are thin
-/// wrappers over these).
+/// for bad options or inputs — an empty vocabulary, a token id beyond the
+/// vocabulary (vocab_size), no documents or only empty ones. With an
+/// unlimited budget and a healthy run the result is bit-identical to the
+/// plain functions above (which are thin wrappers over these).
 
 [[nodiscard]] StatusOr<SgnsModel> TrainSgnsBudgeted(const Corpus& corpus,
                                       const SgnsOptions& options, Rng& rng,
@@ -136,41 +126,27 @@ SgnsModel TrainPvDbow(const std::vector<std::vector<int>>& documents,
     const std::vector<std::vector<int>>& documents, int vocab_size,
     const SgnsOptions& options, uint64_t seed, Budget& budget);
 
-/// ---- Streaming trainers (DESIGN.md §13). Identical algorithms to the
-/// corpus-based entry points above — in fact those are now thin wrappers
-/// that adapt their in-memory input through CorpusSource — but fed from a
-/// SentenceSource, so the corpus never has to exist in memory at once.
-/// The trainers make one counting pass (sentence/pair/occurrence totals
-/// for the LR schedule), one optional fingerprint pass when checkpointing
-/// is enabled, and one pass per epoch; the source must replay the
-/// identical stream on every Reset(). Feeding the same sentences in the
-/// same order produces bit-identical models to the in-memory paths — a
-/// WalkSource over a graph reproduces exactly what materialising
-/// GenerateWalksParallel and training on it would have.
+/// ---- Streaming trainers (DESIGN.md §13). The same two algorithms fed
+/// from a SentenceSource, so the corpus never has to exist in memory at
+/// once; every corpus-based entry point above is a thin adapter that
+/// replays its in-memory input through CorpusSource onto the streaming
+/// entry of the same mode. The trainers make one optional fingerprint pass
+/// when checkpointing is enabled and one pass per epoch; the source must
+/// replay the identical stream on every Reset(). Feeding the same
+/// sentences in the same order produces bit-identical models to the
+/// in-memory paths — a WalkSource over a graph reproduces exactly what
+/// materialising GenerateWalksParallel and training on it would have.
 ///
-/// The SGNS variants take the noise table explicitly (vocab size =
-/// noise_weights.size()); build it from a counting pass via CountStream +
-/// NoiseFromCounts (embed/stream.h) when no materialised vocabulary
-/// exists. The PV-DBOW variants count documents and build their noise
-/// table internally from the same single counting pass. Returns
-/// kInvalidArgument for an empty noise table / non-positive vocab_size /
-/// token ids beyond the table, plus everything the corpus-based trainers
-/// reject.
-
-[[nodiscard]] StatusOr<SgnsModel> TrainSgnsStreaming(
-    SentenceSource& source, const std::vector<double>& noise_weights,
-    const SgnsOptions& options, Rng& rng, Budget& budget);
-
-[[nodiscard]] StatusOr<SgnsModel> TrainSgnsShardedStreaming(
-    SentenceSource& source, const std::vector<double>& noise_weights,
-    const SgnsOptions& options, uint64_t seed, Budget& budget);
-
-/// Overloads taking a precomputed CountStream result, for callers that
-/// already made the counting pass (e.g. to build the noise table from the
-/// same stream): skips the trainers' internal pass. `stats` must come from
-/// CountStream over the same sentences with this options.window in
-/// skip-gram mode — or over any permutation of them, since every total is
-/// order-independent.
+/// The SGNS variants take the counting pass and the noise table from the
+/// caller (vocab size = noise_weights.size()): build both with CountStream
+/// + NoiseFromCounts (embed/stream.h) when no materialised vocabulary
+/// exists. `stats` must come from CountStream over the same sentences with
+/// this options.window in skip-gram mode — or over any permutation of
+/// them, since every total is order-independent. The PV-DBOW variants make
+/// that counting pass themselves and build their noise table from it.
+/// Returns kInvalidArgument for an empty noise table / non-positive
+/// vocab_size / token ids beyond the table, plus everything the
+/// corpus-based trainers reject.
 
 [[nodiscard]] StatusOr<SgnsModel> TrainSgnsStreaming(
     SentenceSource& source, const StreamStats& stats,

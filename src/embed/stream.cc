@@ -1,10 +1,10 @@
 #include "embed/stream.h"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 
 #include "base/metrics.h"
+#include "embed/pairs.h"
 
 namespace x2vec::embed {
 
@@ -125,18 +125,7 @@ StreamStats CountStream(SentenceSource& source, int window,
     ++stats.num_sentences;
     const int len = static_cast<int>(seq.size());
     stats.total_tokens += len;
-    if (skipgram_window) {
-      // The window-clipped pair count of PositivePairPrefix, accumulated
-      // streamingly: position pos pairs with [pos-window, pos+window]
-      // clipped to the sequence, minus itself.
-      for (int pos = 0; pos < len; ++pos) {
-        const int lo = std::max(0, pos - window);
-        const int hi = std::min(len - 1, pos + window);
-        stats.pairs_per_epoch += hi - lo;
-      }
-    } else {
-      stats.pairs_per_epoch += len;  // PV-DBOW: one pair per token.
-    }
+    stats.pairs_per_epoch += SequencePairs(len, window, skipgram_window);
     for (const int token : seq) {
       X2VEC_CHECK_GE(token, 0);
       if (token >= static_cast<int>(stats.token_counts.size())) {

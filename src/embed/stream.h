@@ -141,12 +141,12 @@ struct StreamStats {
 
 /// Noise table from streaming occurrence counts: pow(count + base_count,
 /// power) per token over a table of `vocab_size` entries — the same
-/// unigram^power convention as Vocabulary::NoiseDistribution and
-/// PvDbowNoiseDistribution (with base_count 0, a zero-count token keeps
-/// weight exactly 0). base_count 1 reproduces the walk-corpus convention
-/// of embed/node_embeddings.cc, where every vertex is pre-seeded with one
-/// count before its walk occurrences. CHECKs that no counted token id is
-/// >= vocab_size.
+/// unigram^power convention as Vocabulary::NoiseDistribution (with
+/// base_count 0, a zero-count token keeps weight exactly 0 and is never
+/// drawn as a negative). The PV-DBOW trainers build their table with
+/// base_count 0; the walk embedders of embed/node_embeddings.cc use
+/// base_count 1, which pre-seeds every vertex with one count before its
+/// walk occurrences. CHECKs that no counted token id is >= vocab_size.
 [[nodiscard]] std::vector<double> NoiseFromCounts(
     const std::vector<int64_t>& token_counts, int vocab_size, double power,
     int64_t base_count = 0);

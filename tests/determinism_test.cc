@@ -23,6 +23,7 @@
 #include "embed/node_embeddings.h"
 #include "embed/sgns.h"
 #include "embed/walks.h"
+#include "graph/csr.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "kernel/graph_kernels.h"
@@ -235,7 +236,7 @@ TEST(TrainerDeterminismTest, ShardedSgnsRespectsBudget) {
   SetThreadCount(0);
 }
 
-TEST(PipelineDeterminismTest, DeepWalkParallelBitIdentical) {
+TEST(PipelineDeterminismTest, DeepWalkStreamingBitIdentical) {
   Rng rng = MakeRng(80);
   const Graph g = graph::ConnectedGnp(14, 0.3, rng);
   embed::Node2VecOptions options;
@@ -245,11 +246,12 @@ TEST(PipelineDeterminismTest, DeepWalkParallelBitIdentical) {
   options.sgns.epochs = 2;
   ExpectMatrixInvariant([&] {
     Budget unlimited;
-    return *embed::DeepWalkEmbeddingParallel(g, options, 55, unlimited);
+    return *embed::DeepWalkEmbeddingStreaming(graph::GraphView(g), options,
+                                              55, unlimited);
   });
 }
 
-TEST(PipelineDeterminismTest, Node2VecParallelBitIdentical) {
+TEST(PipelineDeterminismTest, Node2VecStreamingBitIdentical) {
   Rng rng = MakeRng(81);
   const Graph g = graph::ConnectedGnp(14, 0.3, rng);
   embed::Node2VecOptions options;
@@ -261,19 +263,23 @@ TEST(PipelineDeterminismTest, Node2VecParallelBitIdentical) {
   options.sgns.epochs = 2;
   ExpectMatrixInvariant([&] {
     Budget unlimited;
-    return *embed::Node2VecEmbeddingParallel(g, options, 56, unlimited);
+    return *embed::Node2VecEmbeddingStreaming(graph::GraphView(g), options,
+                                              56, unlimited);
   });
 }
 
-TEST(PipelineDeterminismTest, Graph2VecParallelBitIdentical) {
+TEST(PipelineDeterminismTest, Graph2VecBitIdentical) {
+  // Graph2vec trains with the sequential PV-DBOW trainer; nothing in the
+  // pipeline may read the thread count. (The sharded PV-DBOW trainer has
+  // its own case above.)
   const std::vector<Graph> graphs = SmallDataset();
   embed::Graph2VecOptions options;
   options.wl_rounds = 2;
   options.sgns.dimension = 8;
   options.sgns.epochs = 2;
   ExpectMatrixInvariant([&] {
-    Budget unlimited;
-    return *embed::Graph2VecEmbeddingParallel(graphs, options, 91, unlimited);
+    Rng rng = MakeRng(91);
+    return embed::Graph2VecEmbedding(graphs, options, rng);
   });
 }
 

@@ -57,11 +57,13 @@ TEST(ThreadCountTest, SetterOverridesAndResets) {
 TEST(HardwareThreadsTest, AtLeastOne) { EXPECT_GE(HardwareThreads(), 1); }
 
 TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.workers(), 2);
+  // Declared before the pool so they outlive its join: a worker may still
+  // lock `mu` and notify `cv` after the waiter below has woken.
   std::atomic<int> count{0};
   std::mutex mu;
   std::condition_variable cv;
+  ThreadPool pool(2);
+  EXPECT_EQ(pool.workers(), 2);
   for (int i = 0; i < 100; ++i) {
     pool.Submit([&] {
       if (count.fetch_add(1) + 1 == 100) {

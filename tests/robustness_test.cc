@@ -587,6 +587,37 @@ TEST(OptionValidationTest, TrainersRejectDegenerateInputs) {
   EXPECT_EQ(no_graphs.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(OptionValidationTest, CorpusTrainersRejectOutOfVocabularyTokens) {
+  // Regression: a token id at or beyond the vocabulary read past the
+  // model (skip-gram) or aborted in a CHECK (PV-DBOW) instead of being
+  // rejected like the streaming entries reject it.
+  embed::Corpus corpus = SmallCorpus();
+  corpus.sentences.push_back({0, corpus.vocab.size()});
+  const std::vector<std::vector<int>> documents = {{0, 1, 2}, {3, 4}};
+  embed::SgnsOptions options;
+  options.dimension = 4;
+  options.epochs = 1;
+  Rng rng = MakeRng(33);
+  Budget unlimited;
+  EXPECT_EQ(
+      embed::TrainSgnsBudgeted(corpus, options, rng, unlimited).status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(embed::TrainSgnsSharded(corpus, options, /*seed=*/1, unlimited)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(embed::TrainPvDbowBudgeted(documents, /*vocab_size=*/4, options,
+                                       rng, unlimited)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(embed::TrainPvDbowSharded(documents, /*vocab_size=*/4, options,
+                                      /*seed=*/1, unlimited)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
 // ---------------------------------------------------------------------------
 // Fault-injecting Rng: degenerate bit streams must never break invariants
 // of the randomised primitives or the trainers.

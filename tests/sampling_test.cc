@@ -17,6 +17,7 @@
 #include "base/parallel.h"
 #include "base/rng.h"
 #include "embed/corpus.h"
+#include "embed/stream.h"
 #include "embed/walks.h"
 #include "graph/graph.h"
 
@@ -240,20 +241,24 @@ TEST(NoiseDistributionTest, ZeroCountTokensAreNeverDrawn) {
   // Regression: PV-DBOW's noise table used to clamp counts to
   // max(c, 1e-9) before pow, giving never-observed tokens nonzero
   // negative-sampling probability — diverging from the SGNS path, which
-  // leaves them at exactly 0. Both paths now share the un-clamped
-  // unigram^power convention.
+  // leaves them at exactly 0. The PV-DBOW trainers now build their table
+  // with NoiseFromCounts, which keeps the un-clamped unigram^power
+  // convention.
   const int kVocab = 10;
   // Tokens 5..9 never occur.
   const std::vector<std::vector<int>> documents = {
       {0, 1, 2, 0, 3}, {4, 4, 1}, {2, 0}};
-  const StatusOr<std::vector<double>> weights =
-      embed::PvDbowNoiseDistribution(documents, kVocab, /*noise_power=*/0.75);
-  ASSERT_TRUE(weights.ok());
-  ASSERT_EQ(weights->size(), static_cast<size_t>(kVocab));
+  embed::CorpusSource source(documents);
+  const embed::StreamStats stats =
+      embed::CountStream(source, /*window=*/1, /*skipgram_window=*/false,
+                         kVocab);
+  const std::vector<double> weights =
+      embed::NoiseFromCounts(stats.token_counts, kVocab, /*power=*/0.75);
+  ASSERT_EQ(weights.size(), static_cast<size_t>(kVocab));
   for (int token = 5; token < kVocab; ++token) {
-    EXPECT_EQ((*weights)[token], 0.0) << token;
+    EXPECT_EQ(weights[token], 0.0) << token;
   }
-  const AliasTable noise(*weights);
+  const AliasTable noise(weights);
   Rng rng = MakeRng(17);
   std::vector<int> observed(kVocab, 0);
   for (int draw = 0; draw < 20000; ++draw) ++observed[noise.Sample(rng)];
@@ -265,10 +270,10 @@ TEST(NoiseDistributionTest, ZeroCountTokensAreNeverDrawn) {
   }
 }
 
-TEST(NoiseDistributionTest, PvDbowMatchesVocabularyConvention) {
+TEST(NoiseDistributionTest, NoiseFromCountsMatchesVocabularyConvention) {
   // The same token counts must give the same noise weights through both
-  // entry points (SGNS builds from Vocabulary counts, PV-DBOW from raw
-  // token-id documents).
+  // tables (SGNS builds from Vocabulary counts, PV-DBOW from the counting
+  // pass over raw token-id documents).
   const std::vector<std::vector<std::string>> sentences = {
       {"a", "b", "a"}, {"c", "a", "b"}};
   const embed::Corpus corpus = embed::Corpus::FromSentences(sentences);
@@ -278,34 +283,34 @@ TEST(NoiseDistributionTest, PvDbowMatchesVocabularyConvention) {
       documents[s].push_back(corpus.vocab.Lookup(token));
     }
   }
-  const std::vector<double> from_vocab =
-      corpus.vocab.NoiseDistribution(/*power=*/0.75);
-  const StatusOr<std::vector<double>> from_documents =
-      embed::PvDbowNoiseDistribution(documents, corpus.vocab.size(),
-                                     /*noise_power=*/0.75);
-  ASSERT_TRUE(from_documents.ok());
-  EXPECT_EQ(from_vocab, *from_documents);
+  embed::CorpusSource source(documents);
+  const embed::StreamStats stats = embed::CountStream(
+      source, /*window=*/1, /*skipgram_window=*/false, corpus.vocab.size());
+  EXPECT_EQ(corpus.vocab.NoiseDistribution(/*power=*/0.75),
+            embed::NoiseFromCounts(stats.token_counts, corpus.vocab.size(),
+                                   /*power=*/0.75));
 }
 
 TEST(NoiseDistributionTest, AllEmptyDocumentsAreAnExplicitError) {
   // The degenerate all-zero table is rejected up front (it cannot be
-  // sampled from), instead of being silently clamped into a uniform one.
-  const StatusOr<std::vector<double>> weights =
-      embed::PvDbowNoiseDistribution({{}, {}}, /*vocab_size=*/4,
-                                     /*noise_power=*/0.75);
-  EXPECT_FALSE(weights.ok());
-  EXPECT_EQ(weights.status().code(), StatusCode::kInvalidArgument);
-
+  // sampled from), instead of being silently clamped into a uniform one —
+  // by both PV-DBOW trainers, in-memory and streaming.
+  const std::vector<std::vector<int>> empty_documents = {{}, {}};
   embed::SgnsOptions options;
   options.dimension = 4;
   options.epochs = 1;
   Rng rng = MakeRng(3);
   Budget unlimited;
-  const StatusOr<embed::SgnsModel> model =
-      embed::TrainPvDbowBudgeted({{}, {}}, /*vocab_size=*/4, options, rng,
-                                 unlimited);
-  EXPECT_FALSE(model.ok());
-  EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
+  const StatusOr<embed::SgnsModel> sequential = embed::TrainPvDbowBudgeted(
+      empty_documents, /*vocab_size=*/4, options, rng, unlimited);
+  EXPECT_EQ(sequential.status().code(), StatusCode::kInvalidArgument);
+  const StatusOr<embed::SgnsModel> sharded = embed::TrainPvDbowSharded(
+      empty_documents, /*vocab_size=*/4, options, /*seed=*/3, unlimited);
+  EXPECT_EQ(sharded.status().code(), StatusCode::kInvalidArgument);
+  embed::CorpusSource source(empty_documents);
+  const StatusOr<embed::SgnsModel> streamed = embed::TrainPvDbowStreaming(
+      source, /*vocab_size=*/4, options, rng, unlimited);
+  EXPECT_EQ(streamed.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(Node2VecStepTest, UniformFastPathCoversAllNeighbors) {

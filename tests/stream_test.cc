@@ -5,13 +5,16 @@
 // in-memory paths over both graph backends.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "base/budget.h"
 #include "base/parallel.h"
 #include "base/rng.h"
+#include "embed/corpus.h"
 #include "embed/node_embeddings.h"
 #include "embed/sgns.h"
 #include "embed/stream.h"
@@ -152,22 +155,49 @@ TEST(StreamTest, CountStreamMatchesPositivePairPrefix) {
   }
 }
 
-TEST(StreamTest, NoiseFromCountsMatchesPvDbowNoiseDistribution) {
+TEST(StreamTest, NoiseFromCountsIsUnigramPowerOfTheCounts) {
   const std::vector<std::vector<int>> documents = {{0, 1, 1, 3}, {3, 3, 0}};
   CorpusSource source(documents);
   const StreamStats stats =
       CountStream(source, /*window=*/1, /*skipgram_window=*/false, 5);
   const std::vector<double> streamed =
       NoiseFromCounts(stats.token_counts, 5, 0.75);
-  StatusOr<std::vector<double>> reference =
-      PvDbowNoiseDistribution(documents, 5, 0.75);
-  ASSERT_TRUE(reference.ok());
-  EXPECT_EQ(streamed, *reference);  // Bit-equal, not approximately equal.
+  // Bit-equal, not approximately equal; tokens 2 and 4 never occur.
+  const std::vector<double> expected = {std::pow(2.0, 0.75),
+                                        std::pow(2.0, 0.75), 0.0,
+                                        std::pow(3.0, 0.75), 0.0};
+  EXPECT_EQ(streamed, expected);
+  // base_count 1 seeds every token with one count (the walk convention).
+  EXPECT_EQ(NoiseFromCounts(stats.token_counts, 5, 0.75, /*base_count=*/1),
+            (std::vector<double>{std::pow(3.0, 0.75), std::pow(3.0, 0.75),
+                                 1.0, std::pow(4.0, 0.75), 1.0}));
+}
+
+// The materialised reference the streaming walk embedders must reproduce:
+// the GenerateWalksParallel corpus under a string Vocabulary that counts
+// every vertex once before its walk occurrences, trained by
+// TrainSgnsSharded with the streaming path's walk and trainer seeds.
+linalg::Matrix InMemoryWalkEmbedding(const Graph& g,
+                                     const Node2VecOptions& options,
+                                     uint64_t seed) {
+  Corpus corpus;
+  for (int v = 0; v < g.NumVertices(); ++v) {
+    corpus.vocab.Add("n" + std::to_string(v));
+  }
+  corpus.sentences = GenerateWalksParallel(g, options.walks, MixSeed(seed, 0));
+  for (const std::vector<int>& walk : corpus.sentences) {
+    for (const int v : walk) corpus.vocab.Add("n" + std::to_string(v));
+  }
+  Budget unlimited;
+  StatusOr<SgnsModel> model =
+      TrainSgnsSharded(corpus, options.sgns, MixSeed(seed, 1), unlimited);
+  EXPECT_TRUE(model.ok()) << model.status().ToString();
+  return model.ok() ? std::move(model->input) : linalg::Matrix();
 }
 
 TEST(StreamTest, StreamingTrainerMatchesInMemoryOnCorpusSource) {
-  // Feeding TrainSgnsShardedStreaming the corpus through the adapter must
-  // reproduce TrainSgnsSharded bit for bit: same counting, same noise
+  // Streaming the walks must reproduce training TrainSgnsSharded on the
+  // materialised walk corpus bit for bit: same counting, same noise
   // table, same streams.
   Rng rng = MakeRng(13);
   const Graph g = graph::ErdosRenyiGnp(20, 0.3, rng);
@@ -179,19 +209,17 @@ TEST(StreamTest, StreamingTrainerMatchesInMemoryOnCorpusSource) {
   options.sgns.window = 2;
   options.sgns.negatives = 2;
 
-  Budget unlimited;
-  StatusOr<linalg::Matrix> in_memory =
-      DeepWalkEmbeddingParallel(g, options, /*seed=*/42, unlimited);
-  ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+  const linalg::Matrix in_memory =
+      InMemoryWalkEmbedding(g, options, /*seed=*/42);
 
-  Budget unlimited2;
+  Budget unlimited;
   StatusOr<linalg::Matrix> streaming = DeepWalkEmbeddingStreaming(
-      GraphView(g), options, /*seed=*/42, unlimited2);
+      GraphView(g), options, /*seed=*/42, unlimited);
   ASSERT_TRUE(streaming.ok()) << streaming.status().ToString();
-  EXPECT_EQ(*streaming, *in_memory);
+  EXPECT_EQ(*streaming, in_memory);
 }
 
-TEST(StreamTest, StreamingNode2VecOverCsrMatchesParallelOverGraph) {
+TEST(StreamTest, StreamingNode2VecOverCsrMatchesInMemoryOverGraph) {
   Rng rng = MakeRng(29);
   const Graph g = graph::ConnectedGnp(18, 0.25, rng);
   const CsrGraph csr = CsrGraph::FromGraph(g);
@@ -205,16 +233,14 @@ TEST(StreamTest, StreamingNode2VecOverCsrMatchesParallelOverGraph) {
   options.sgns.window = 2;
   options.sgns.negatives = 2;
 
-  Budget a;
-  StatusOr<linalg::Matrix> reference =
-      Node2VecEmbeddingParallel(g, options, /*seed=*/4, a);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const linalg::Matrix reference =
+      InMemoryWalkEmbedding(g, options, /*seed=*/4);
 
-  Budget b;
+  Budget budget;
   StatusOr<linalg::Matrix> streamed =
-      Node2VecEmbeddingStreaming(GraphView(csr), options, /*seed=*/4, b);
+      Node2VecEmbeddingStreaming(GraphView(csr), options, /*seed=*/4, budget);
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-  EXPECT_EQ(*streamed, *reference);
+  EXPECT_EQ(*streamed, reference);
 }
 
 TEST(StreamTest, ShuffledStreamingIsBitIdenticalAcrossThreadCounts) {
