@@ -1,11 +1,13 @@
 // Section 3.5's efficiency claim: the WL subtree kernel is much cheaper
 // than the walk/path-based kernels of Section 2.4 while being at least as
 // informative. Benchmarks full Gram-matrix computation for each kernel on
-// the same dataset.
+// the same dataset. Arg(16) is the graph size of the graph_collection
+// benchmark workload.
 
 #include <benchmark/benchmark.h>
 
 #include "base/rng.h"
+#include "bench_meta.h"
 #include "graph/generators.h"
 #include "hom/embeddings.h"
 #include "kernel/graph_kernels.h"
@@ -54,6 +56,7 @@ void BM_RandomWalkKernel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RandomWalkKernel)
+    ->Arg(16)
     ->Arg(20)
     ->Arg(40)
     ->Unit(benchmark::kMillisecond);
@@ -75,10 +78,22 @@ void BM_HomVectorKernel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HomVectorKernel)
+    ->Arg(16)
     ->Arg(20)
     ->Arg(40)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN() plus the bench_meta entries in the benchmark context
+// (under "context" in --benchmark_format=json output).
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  for (const auto& [key, value] : x2vec::bench::MetaEntries()) {
+    benchmark::AddCustomContext(key, value);
+  }
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -7,7 +7,8 @@
 #   4. ctest -L metrics (observability + sampling-fidelity suite, re-run
 #      on its own so a regression there is called out by name)
 #   5. ctest -L kernels (span-kernel unit tests + bit-identity goldens,
-#      re-run on its own so a numeric drift is called out by name)
+#      and the graph-kernel/hom differential cases, re-run on its own so a
+#      numeric drift is called out by name)
 #   6. ctest -L parity (backend-parity suite: vectorized/float32 kernel
 #      backends vs the generic golden reference, re-run on its own so a
 #      tolerance breach is called out by name)

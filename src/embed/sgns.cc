@@ -533,7 +533,8 @@ StatusOr<SgnsModel> TrainSharded(const TrainInput& in,
 // ---- Input validation, one helper per objective.
 
 // A skip-gram stream trains against a noise table over its whole
-// vocabulary: the table must be non-empty and cover every counted token.
+// vocabulary: the table must be non-empty and cover every counted token,
+// and no token id may be negative.
 Status CheckSkipGramInput(const StreamStats& stats,
                           const std::vector<double>& noise_weights) {
   if (noise_weights.empty()) {
@@ -543,6 +544,9 @@ Status CheckSkipGramInput(const StreamStats& stats,
   if (stats.token_counts.size() > noise_weights.size()) {
     return Status::InvalidArgument(
         "SGNS token id exceeds the vocabulary (noise-table) size");
+  }
+  if (stats.negative_tokens > 0) {
+    return Status::InvalidArgument("SGNS token id is negative");
   }
   return Status::Ok();
 }
@@ -562,8 +566,8 @@ struct Documents {
 
 // Makes the counting pass over a document stream and rejects what cannot
 // be trained: a non-positive vocab_size, no documents, a token id beyond
-// vocab_size, or only empty documents (an all-zero noise table cannot be
-// sampled from).
+// vocab_size or below 0, or only empty documents (an all-zero noise table
+// cannot be sampled from).
 StatusOr<Documents> CountDocuments(SentenceSource& source, int vocab_size,
                                    const SgnsOptions& options) {
   if (vocab_size <= 0) {
@@ -580,6 +584,9 @@ StatusOr<Documents> CountDocuments(SentenceSource& source, int vocab_size,
   }
   if (static_cast<int64_t>(docs.stats.token_counts.size()) > vocab_size) {
     return Status::InvalidArgument("PV-DBOW token id exceeds vocab_size");
+  }
+  if (docs.stats.negative_tokens > 0) {
+    return Status::InvalidArgument("PV-DBOW token id is negative");
   }
   if (docs.stats.total_tokens == 0) {
     return Status::InvalidArgument(

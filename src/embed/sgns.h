@@ -145,8 +145,8 @@ SgnsModel TrainPvDbow(const std::vector<std::vector<int>>& documents,
 /// them, since every total is order-independent. The PV-DBOW variants make
 /// that counting pass themselves and build their noise table from it.
 /// Returns kInvalidArgument for an empty noise table / non-positive
-/// vocab_size / token ids beyond the table, plus everything the
-/// corpus-based trainers reject.
+/// vocab_size / token ids beyond the table or negative, plus everything
+/// the corpus-based trainers reject.
 
 [[nodiscard]] StatusOr<SgnsModel> TrainSgnsStreaming(
     SentenceSource& source, const StreamStats& stats,

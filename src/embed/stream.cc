@@ -127,7 +127,10 @@ StreamStats CountStream(SentenceSource& source, int window,
     stats.total_tokens += len;
     stats.pairs_per_epoch += SequencePairs(len, window, skipgram_window);
     for (const int token : seq) {
-      X2VEC_CHECK_GE(token, 0);
+      if (token < 0) {
+        ++stats.negative_tokens;
+        continue;
+      }
       if (token >= static_cast<int>(stats.token_counts.size())) {
         stats.token_counts.resize(static_cast<size_t>(token) + 1, 0);
       }

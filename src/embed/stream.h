@@ -127,14 +127,16 @@ struct StreamStats {
   int64_t total_tokens = 0;
   int64_t pairs_per_epoch = 0;
   std::vector<int64_t> token_counts;  ///< Size max(vocab_hint, max id + 1).
+  int64_t negative_tokens = 0;  ///< Tokens with a negative id (not counted).
 };
 
 /// One full pass over `source` (Reset, then drain): counts sentences,
 /// tokens and positive pairs — window-clipped skip-gram pairs when
 /// `skipgram_window` is set, one pair per token (PV-DBOW) otherwise — and
-/// tallies per-token occurrences. Token ids must be non-negative
-/// (CHECKed); `vocab_size_hint` pre-sizes the count table. Leaves the
-/// source at end of stream.
+/// tallies per-token occurrences. A negative token id is not a token: it
+/// is tallied in `negative_tokens` only, and the trainers reject a stream
+/// with any (kInvalidArgument). `vocab_size_hint` pre-sizes the count
+/// table. Leaves the source at end of stream.
 [[nodiscard]] StreamStats CountStream(SentenceSource& source, int window,
                                       bool skipgram_window,
                                       int vocab_size_hint = 0);

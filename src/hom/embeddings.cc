@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <optional>
 #include <set>
+#include <utility>
 
 #include "graph/enumeration.h"
+#include "hom/path_cycle.h"
 #include "hom/tree_hom.h"
 #include "hom/treewidth.h"
 
@@ -48,6 +52,29 @@ std::string RootedCanonical(const Graph& tree, int v, int parent) {
   for (const std::string& c : children) out += c;
   out += ")";
   return out;
+}
+
+// A connected 2-regular undirected pattern (the cycle C_length) whose
+// vertices share one label and whose edges share one label.
+struct CycleShape {
+  int length = 0;
+  int vertex_label = 0;
+  int edge_label = 0;
+};
+
+std::optional<CycleShape> UniformCycleShape(const Graph& f) {
+  const int n = f.NumVertices();
+  if (f.directed() || n < 3) return std::nullopt;
+  for (int v = 0; v < n; ++v) {
+    if (f.Degree(v) != 2 || f.VertexLabel(v) != f.VertexLabel(0)) {
+      return std::nullopt;
+    }
+  }
+  for (const graph::Edge& e : f.Edges()) {
+    if (e.label != f.Edges()[0].label) return std::nullopt;
+  }
+  if (!graph::IsConnected(f)) return std::nullopt;
+  return CycleShape{n, f.VertexLabel(0), f.Edges()[0].label};
 }
 
 }  // namespace
@@ -97,14 +124,38 @@ std::vector<Pattern> DefaultPatternFamily(int count) {
 
 std::vector<double> HomVector(const Graph& g,
                               const std::vector<Pattern>& patterns) {
+  // Uniformly labelled cycle patterns, grouped by their labels, share one
+  // adjacency-power sequence per group; an entry of -1 (a count at or
+  // above 2^53) falls back to elimination, which then rounds as before.
+  std::vector<std::optional<CycleShape>> cycles(patterns.size());
+  std::map<std::pair<int, int>, int> longest;
+  if (!g.directed()) {
+    for (size_t i = 0; i < patterns.size(); ++i) {
+      cycles[i] = UniformCycleShape(patterns[i].graph);
+      if (!cycles[i]) continue;
+      int& k = longest[{cycles[i]->vertex_label, cycles[i]->edge_label}];
+      k = std::max(k, cycles[i]->length);
+    }
+  }
+  std::map<std::pair<int, int>, std::vector<int64_t>> traces;
+  for (const auto& [labels, k] : longest) {
+    traces[labels] = LabelledCycleTraces(g, labels.first, labels.second, k);
+  }
   std::vector<double> out;
   out.reserve(patterns.size());
-  for (const Pattern& pattern : patterns) {
-    if (graph::IsTree(pattern.graph)) {
-      out.push_back(CountTreeHomsDouble(pattern.graph, g));
-    } else {
-      out.push_back(CountHomsDouble(pattern.graph, g));
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    const Graph& f = patterns[i].graph;
+    if (cycles[i]) {
+      const int64_t trace =
+          traces.at({cycles[i]->vertex_label, cycles[i]->edge_label})
+              [cycles[i]->length - 3];
+      if (trace >= 0) {
+        out.push_back(static_cast<double>(trace));
+        continue;
+      }
     }
+    out.push_back(graph::IsTree(f) ? CountTreeHomsDouble(f, g)
+                                   : CountHomsDouble(f, g));
   }
   return out;
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/graph.h"
@@ -22,5 +23,17 @@ std::vector<__int128> PathHomVector(const graph::Graph& g, int max_k);
 
 /// The truncated cycle vector (hom(C_3,G), ..., hom(C_max,G)).
 std::vector<__int128> CycleHomVector(const graph::Graph& g, int max_k);
+
+/// Label-respecting hom(C_k, G) for k = 3..max_k (entry k - 3), where every
+/// vertex of C_k carries `vertex_label` and every edge `edge_label`: the
+/// trace of B^k for B, G's adjacency restricted to vertices labelled
+/// `vertex_label` and edges labelled `edge_label` (weights ignored). One
+/// power sequence serves every k. An entry is -1 once an entry of some
+/// B^j with j <= k, or tr(B^k) itself, reaches 2^53: below that bound
+/// every count, and every partial sum the elimination counter forms
+/// for a cycle, is an exact double, so the two agree bit for bit.
+std::vector<int64_t> LabelledCycleTraces(const graph::Graph& g,
+                                         int vertex_label, int edge_label,
+                                         int max_k);
 
 }  // namespace x2vec::hom

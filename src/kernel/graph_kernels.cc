@@ -82,6 +82,91 @@ linalg::Matrix GramFromCountMaps(
   return gram;
 }
 
+// Ascending neighbour ids of every vertex of an undirected graph.
+std::vector<std::vector<int>> SortedNeighbors(const Graph& g) {
+  X2VEC_CHECK(!g.directed());
+  std::vector<std::vector<int>> out(g.NumVertices());
+  for (int v = 0; v < g.NumVertices(); ++v) {
+    for (const graph::Neighbor& nb : g.Neighbors(v)) out[v].push_back(nb.to);
+    std::sort(out[v].begin(), out[v].end());
+  }
+  return out;
+}
+
+// The direct product graph G x H of the random-walk kernel as a CSR
+// adjacency, with the vertex numbering of graph::DirectProduct: the
+// label-matched pairs (u, v) in lexicographic order. Every row lists its
+// neighbours in ascending product id.
+//
+// DiscountedWalkSum reproduces, bit for bit, the dense computation
+// `x <- A x` with the generic Dot over each 0/1 row of the adjacency
+// matrix: that Dot adds 0 * x_c (= +0.0, a no-op on a non-negative sum)
+// or 1 * x_c (= x_c) in column order, so adding just the x_c of the
+// row's neighbours in ascending order gives the same double at every
+// step, however large the walk counts grow.
+class ProductWalk {
+ public:
+  void Build(const Graph& g, const std::vector<std::vector<int>>& g_neighbors,
+             const Graph& h, const std::vector<std::vector<int>>& h_neighbors) {
+    const int ng = g.NumVertices();
+    const int nh = h.NumVertices();
+    id_.assign(static_cast<size_t>(ng) * nh, -1);
+    int count = 0;
+    for (int u = 0; u < ng; ++u) {
+      for (int v = 0; v < nh; ++v) {
+        if (g.VertexLabel(u) == h.VertexLabel(v)) {
+          id_[static_cast<size_t>(u) * nh + v] = count++;
+        }
+      }
+    }
+    row_start_.assign(1, 0);
+    columns_.clear();
+    for (int u = 0; u < ng; ++u) {
+      for (int v = 0; v < nh; ++v) {
+        if (id_[static_cast<size_t>(u) * nh + v] < 0) continue;
+        for (const int up : g_neighbors[u]) {
+          for (const int vp : h_neighbors[v]) {
+            const int b = id_[static_cast<size_t>(up) * nh + vp];
+            if (b >= 0) columns_.push_back(b);
+          }
+        }
+        row_start_.push_back(static_cast<int>(columns_.size()));
+      }
+    }
+  }
+
+  // sum_{k=0..max_length} lambda^k 1^T A^k 1 over the product graph.
+  double DiscountedWalkSum(double lambda, int max_length) {
+    const int np = static_cast<int>(row_start_.size()) - 1;
+    current_.assign(np, 1.0);
+    next_.resize(np);
+    double total = np;  // k = 0 term.
+    double weight = 1.0;
+    for (int step = 1; step <= max_length; ++step) {
+      for (int p = 0; p < np; ++p) {
+        double s = 0.0;
+        for (int c = row_start_[p]; c < row_start_[p + 1]; ++c) {
+          s += current_[columns_[c]];
+        }
+        next_[p] = s;
+      }
+      current_.swap(next_);
+      weight *= lambda;
+      double sum = 0.0;
+      for (double x : current_) sum += x;
+      total += weight * sum;
+    }
+    return total;
+  }
+
+ private:
+  std::vector<int> id_;  // u * |V(H)| + v -> product id, or -1.
+  std::vector<int> row_start_;
+  std::vector<int> columns_;
+  std::vector<double> current_;
+  std::vector<double> next_;
+};
+
 }  // namespace
 
 linalg::Matrix ShortestPathKernelMatrix(const std::vector<Graph>& graphs) {
@@ -112,28 +197,20 @@ linalg::Matrix RandomWalkKernelMatrix(const std::vector<Graph>& graphs,
   X2VEC_CHECK_GT(lambda, 0.0);
   X2VEC_CHECK_GE(max_length, 0);
   const int n = static_cast<int>(graphs.size());
+  const std::vector<std::vector<std::vector<int>>> neighbors =
+      ParallelMap(static_cast<int64_t>(n), [&](int64_t g) {
+        return SortedNeighbors(graphs[g]);
+      });
   linalg::Matrix gram(n, n);
-  // Each (i, j) entry builds its own product graph; the upper triangle is
-  // the natural parallel decomposition.
+  // Each (i, j) entry walks its own product graph; the upper triangle is
+  // the natural parallel decomposition. Scratch is reused across a chunk.
   const int64_t pairs = static_cast<int64_t>(n) * (n + 1) / 2;
   const Status status = ParallelFor(pairs, 0, [&](int64_t lo, int64_t hi) {
+    ProductWalk walk;
     for (int64_t t = lo; t < hi; ++t) {
       const auto [i, j] = UpperTriangleIndex(t, n);
-      const Graph product = graph::DirectProduct(graphs[i], graphs[j]);
-      // sum_k lambda^k 1^T A^k 1 on the product graph.
-      const int np = product.NumVertices();
-      std::vector<double> ones(np, 1.0);
-      const linalg::Matrix a = product.AdjacencyMatrix();
-      double total = np;  // k = 0 term.
-      std::vector<double> current = ones;
-      double weight = 1.0;
-      for (int step = 1; step <= max_length; ++step) {
-        current = a.Apply(current);
-        weight *= lambda;
-        double sum = 0.0;
-        for (double x : current) sum += x;
-        total += weight * sum;
-      }
+      walk.Build(graphs[i], neighbors[i], graphs[j], neighbors[j]);
+      const double total = walk.DiscountedWalkSum(lambda, max_length);
       gram(i, j) = total;
       gram(j, i) = total;
     }

@@ -14,7 +14,10 @@ linalg::Matrix ShortestPathKernelMatrix(const std::vector<graph::Graph>& graphs)
 
 /// Geometric random-walk kernel (Section 2.4 [Gärtner et al.]):
 /// K(G, H) = sum_{k=0..max_length} lambda^k * (number of length-k walk
-/// pairs) computed on the direct product graph.
+/// pairs), i.e. lambda^k 1^T A_x^k 1 on the direct product graph, walked as
+/// a sparse adjacency without building a graph::Graph. Equal bit for bit to
+/// the dense walk through graph::DirectProduct with the generic Dot, under
+/// every kernel backend.
 linalg::Matrix RandomWalkKernelMatrix(const std::vector<graph::Graph>& graphs,
                                       double lambda, int max_length);
 

@@ -1,3 +1,4 @@
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -191,6 +192,22 @@ TEST(PathCycleTest, VectorsMatchScalars) {
   }
 }
 
+TEST(PathCycleTest, LabelledTracesMatchExactCycleVector) {
+  Rng rng = MakeRng(62);
+  const Graph g = graph::ErdosRenyiGnp(9, 0.5, rng);
+  const std::vector<__int128> exact = CycleHomVector(g, 10);
+  const std::vector<int64_t> traces = LabelledCycleTraces(g, 0, 0, 10);
+  ASSERT_EQ(traces.size(), exact.size());
+  for (size_t i = 0; i < traces.size(); ++i) {
+    EXPECT_EQ(traces[i], ToInt64(exact[i])) << "k=" << i + 3;
+  }
+  // K_60: tr(A^9) = 59^9 - 59 is below 2^53, tr(A^10) = 59^10 + 59 is not.
+  const std::vector<int64_t> dense =
+      LabelledCycleTraces(Graph::Complete(60), 0, 0, 12);
+  EXPECT_EQ(dense[9 - 3], ToInt64(CountCycleHoms(9, Graph::Complete(60))));
+  for (int k = 10; k <= 12; ++k) EXPECT_EQ(dense[k - 3], -1) << "k=" << k;
+}
+
 TEST(TreewidthTest, KnownWidths) {
   EXPECT_EQ(ExactTreewidth(Graph::Path(6), nullptr), 1);
   EXPECT_EQ(ExactTreewidth(Graph::Star(5), nullptr), 1);
@@ -367,6 +384,62 @@ TEST(EmbeddingsTest, LogScaledVectorIsFiniteAndInvariant) {
   for (size_t i = 0; i < vg.size(); ++i) {
     EXPECT_TRUE(std::isfinite(vg[i]));
     EXPECT_NEAR(vg[i], vp[i], 1e-9);
+  }
+}
+
+// Bit patterns, so that a 2^53 fallback's rounding is compared too.
+std::vector<uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits;
+  for (const double v : values) bits.push_back(std::bit_cast<uint64_t>(v));
+  return bits;
+}
+
+TEST(EmbeddingsTest, HomVectorMatchesEliminationBitForBit) {
+  // The default family plus labelled cycles (fast path), a cycle with mixed
+  // vertex labels and two disjoint triangles (both eliminated).
+  std::vector<Pattern> patterns = DefaultPatternFamily(24);
+  Graph labelled_cycle = Graph::Cycle(5);
+  for (int v = 0; v < 5; ++v) labelled_cycle.SetVertexLabel(v, 1);
+  patterns.push_back({labelled_cycle, "C5@1"});
+  Graph edge_labelled_cycle(4);
+  for (int v = 0; v < 4; ++v) {
+    edge_labelled_cycle.AddEdge(v, (v + 1) % 4, 1.0, /*label=*/2);
+  }
+  patterns.push_back({edge_labelled_cycle, "C4/2"});
+  Graph mixed_cycle = Graph::Cycle(6);
+  mixed_cycle.SetVertexLabel(0, 1);
+  patterns.push_back({mixed_cycle, "C6 mixed"});
+  patterns.push_back(
+      {DisjointUnion(Graph::Cycle(3), Graph::Cycle(3)), "2xC3"});
+
+  Rng rng = MakeRng(69);
+  std::vector<Graph> graphs;
+  Graph vertex_labelled = graph::ErdosRenyiGnp(14, 0.5, rng);
+  for (int v = 0; v < 14; ++v) {
+    vertex_labelled.SetVertexLabel(v, static_cast<int>(UniformInt(rng, 0, 1)));
+  }
+  graphs.push_back(std::move(vertex_labelled));
+  Graph edge_labelled(12);
+  Graph weighted(12);
+  for (int u = 0; u < 12; ++u) {
+    for (int v = u + 1; v < 12; ++v) {
+      if (UniformInt(rng, 0, 1) == 0) continue;
+      edge_labelled.AddEdge(u, v, 1.0, static_cast<int>(UniformInt(rng, 0, 2)));
+      weighted.AddEdge(u, v, 0.5 + UniformInt(rng, 0, 3));
+    }
+  }
+  graphs.push_back(std::move(edge_labelled));
+  graphs.push_back(std::move(weighted));
+  graphs.push_back(Graph::Complete(60));  // C10..C12 need the fallback.
+
+  for (const Graph& g : graphs) {
+    std::vector<double> expected;
+    for (const Pattern& p : patterns) {
+      expected.push_back(graph::IsTree(p.graph)
+                             ? CountTreeHomsDouble(p.graph, g)
+                             : CountHomsDouble(p.graph, g));
+    }
+    EXPECT_EQ(Bits(HomVector(g, patterns)), Bits(expected)) << g.ToString();
   }
 }
 

@@ -1,12 +1,18 @@
+#include <algorithm>
+#include <cstring>
 #include <vector>
 
+#include "base/parallel.h"
 #include "base/rng.h"
+#include "data/datasets.h"
+#include "graph/algorithms.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "gtest/gtest.h"
 #include "hom/embeddings.h"
 #include "kernel/graph_kernels.h"
 #include "kernel/wl_kernel.h"
+#include "linalg/kernels_backend.h"
 #include "wl/color_refinement.h"
 
 namespace x2vec::kernel {
@@ -114,9 +120,122 @@ TEST(RandomWalkKernelTest, ProductGraphCounts) {
 TEST(RandomWalkKernelTest, SymmetricPsdOnDataset) {
   const std::vector<Graph> graphs = TestDataset(5, 76);
   const linalg::Matrix k = RandomWalkKernelMatrix(graphs, 0.1, 4);
+  double largest_diagonal = 0.0;
   for (int i = 0; i < k.rows(); ++i) {
+    largest_diagonal = std::max(largest_diagonal, k(i, i));
     for (int j = 0; j < k.cols(); ++j) {
       EXPECT_DOUBLE_EQ(k(i, j), k(j, i));
+    }
+  }
+  EXPECT_TRUE(IsPositiveSemidefinite(k, 1e-10 * largest_diagonal));
+}
+
+// The dense walk the sparse kernel replaced: graph::DirectProduct, its
+// dense adjacency matrix and one Apply per step, under the generic
+// backend. Returns 1^T A^k 1 for k = 0..max_length.
+std::vector<double> DenseWalkSums(const Graph& g, const Graph& h,
+                                  int max_length) {
+  const Graph product = graph::DirectProduct(g, h);
+  const int np = product.NumVertices();
+  const linalg::Matrix a = product.AdjacencyMatrix();
+  std::vector<double> sums = {static_cast<double>(np)};
+  std::vector<double> current(np, 1.0);
+  for (int step = 1; step <= max_length; ++step) {
+    current = a.Apply(current);
+    double sum = 0.0;
+    for (double x : current) sum += x;
+    sums.push_back(sum);
+  }
+  return sums;
+}
+
+// The seed's Gram entry from those sums, in its operation order.
+double DiscountedTotal(const std::vector<double>& sums, double lambda,
+                       int max_length) {
+  double total = sums[0];
+  double weight = 1.0;
+  for (int step = 1; step <= max_length; ++step) {
+    weight *= lambda;
+    total += weight * sums[step];
+  }
+  return total;
+}
+
+bool SameBytes(const linalg::Matrix& a, const linalg::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(double)) == 0;
+}
+
+// Dense labelled graphs (G(n, 0.6), three vertex labels), an edgeless graph
+// and a graph with isolated vertices.
+std::vector<Graph> DenseAndDegenerateGraphs() {
+  Rng rng = MakeRng(77);
+  std::vector<Graph> graphs;
+  for (const int n : {6, 9, 12, 16}) {
+    Graph g = graph::ErdosRenyiGnp(n, 0.6, rng);
+    for (int v = 0; v < n; ++v) {
+      g.SetVertexLabel(v, static_cast<int>(UniformInt(rng, 0, 2)));
+    }
+    graphs.push_back(std::move(g));
+  }
+  graphs.push_back(Graph(5));
+  Graph isolated(7);
+  isolated.AddEdge(0, 1);
+  isolated.AddEdge(1, 2);
+  isolated.AddEdge(2, 0);
+  isolated.AddEdge(3, 4);
+  graphs.push_back(std::move(isolated));
+  return graphs;
+}
+
+TEST(RandomWalkKernelTest, MatchesDenseProductWalkBitForBit) {
+  constexpr int kLongest = 12;
+  linalg::SetKernelBackend(linalg::KernelBackend::kGeneric);
+  Rng rng = MakeRng(78);
+  std::vector<std::vector<Graph>> collections;
+  for (data::GraphDataset& dataset :
+       data::AllClassificationDatasets(/*per_class=*/4, /*graph_size=*/16,
+                                       rng)) {
+    collections.push_back(std::move(dataset.graphs));
+  }
+  collections.push_back(DenseAndDegenerateGraphs());
+  for (const std::vector<Graph>& graphs : collections) {
+    const int n = static_cast<int>(graphs.size());
+    std::vector<std::vector<std::vector<double>>> sums(n);
+    for (int i = 0; i < n; ++i) {
+      for (int j = i; j < n; ++j) {
+        sums[i].push_back(DenseWalkSums(graphs[i], graphs[j], kLongest));
+      }
+    }
+    for (const double lambda : {0.1, 0.75}) {
+      for (const int max_length : {0, 1, 6, kLongest}) {
+        linalg::Matrix expected(n, n);
+        for (int i = 0; i < n; ++i) {
+          for (int j = i; j < n; ++j) {
+            const double total =
+                DiscountedTotal(sums[i][j - i], lambda, max_length);
+            expected(i, j) = total;
+            expected(j, i) = total;
+          }
+        }
+        for (const linalg::KernelBackend backend :
+             {linalg::KernelBackend::kGeneric,
+              linalg::KernelBackend::kVectorized,
+              linalg::KernelBackend::kFloat32}) {
+          linalg::SetKernelBackend(backend);
+          for (const int threads : {1, 4}) {
+            SetThreadCount(threads);
+            EXPECT_TRUE(SameBytes(
+                RandomWalkKernelMatrix(graphs, lambda, max_length), expected))
+                << "lambda " << lambda << ", max_length " << max_length
+                << ", backend " << static_cast<int>(backend) << ", threads "
+                << threads;
+          }
+        }
+        linalg::SetKernelBackend(linalg::KernelBackend::kGeneric);
+        SetThreadCount(0);
+      }
     }
   }
 }

@@ -618,6 +618,54 @@ TEST(OptionValidationTest, CorpusTrainersRejectOutOfVocabularyTokens) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(OptionValidationTest, TrainersRejectNegativeTokens) {
+  // Regression: a negative token id CHECK-aborted the counting pass that
+  // every SGNS and PV-DBOW trainer runs first.
+  embed::Corpus corpus = SmallCorpus();
+  corpus.sentences.push_back({0, -1, 2});
+  const std::vector<std::vector<int>> documents = {{0, 1, 2}, {3, -4}};
+  embed::SgnsOptions options;
+  options.dimension = 4;
+  options.epochs = 1;
+  Rng rng = MakeRng(34);
+  Budget unlimited;
+
+  embed::CorpusSource sentences(corpus.sentences);
+  const embed::StreamStats stats = embed::CountStream(
+      sentences, options.window, /*skipgram_window=*/true, corpus.vocab.size());
+  EXPECT_EQ(stats.negative_tokens, 1);
+  EXPECT_EQ(stats.token_counts.size(),
+            static_cast<size_t>(corpus.vocab.size()));
+  const std::vector<double> noise =
+      corpus.vocab.NoiseDistribution(options.noise_power);
+
+  const auto code = [](const auto& result) { return result.status().code(); };
+  EXPECT_EQ(code(embed::TrainSgnsBudgeted(corpus, options, rng, unlimited)),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(embed::TrainSgnsSharded(corpus, options, 1, unlimited)),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(embed::TrainSgnsStreaming(sentences, stats, noise, options,
+                                           rng, unlimited)),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(embed::TrainSgnsShardedStreaming(sentences, stats, noise,
+                                                  options, 1, unlimited)),
+            StatusCode::kInvalidArgument);
+
+  embed::CorpusSource docs(documents);
+  EXPECT_EQ(code(embed::TrainPvDbowBudgeted(documents, 4, options, rng,
+                                            unlimited)),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(embed::TrainPvDbowSharded(documents, 4, options, 1,
+                                           unlimited)),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(embed::TrainPvDbowStreaming(docs, 4, options, rng,
+                                             unlimited)),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(embed::TrainPvDbowShardedStreaming(docs, 4, options, 1,
+                                                    unlimited)),
+            StatusCode::kInvalidArgument);
+}
+
 // ---------------------------------------------------------------------------
 // Fault-injecting Rng: degenerate bit streams must never break invariants
 // of the randomised primitives or the trainers.
