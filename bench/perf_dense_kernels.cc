@@ -1,8 +1,8 @@
 // Kernel-backend throughput for the dense-kernel layer (DESIGN.md,
-// "Kernel backends"): generic vs vectorized vs float32 ops tables
-// (kernels_backend.h), called directly through GetKernelOps so the
-// comparison is free of dispatch state. Fast backends are tolerance-equal,
-// not bit-equal, to generic (see tests/backend_parity_test.cc), so each
+// "Kernel backends"): generic vs vectorized ops tables (kernels_backend.h),
+// called directly through GetKernelOps so the comparison is free of
+// dispatch state. The vectorized backend is tolerance-equal, not
+// bit-equal, to generic (see tests/backend_parity_test.cc), so each
 // backend reports its own state checksum rather than a bit_identical flag.
 //
 // Output is one BENCH-style JSON object on stdout, with a trailing "meta"
@@ -136,7 +136,7 @@ void PrintBackendJson(const char* name, const BackendTimings& timings,
 int main() {
   // Backend-vs-backend kernel sweep. The generic table is the baseline all
   // speedups are relative to; the acceptance bar tracked in
-  // BENCH_kernels.json is sgd_speedup >= 1.5 for at least one fast backend.
+  // BENCH_kernels.json is sgd_speedup >= 1.5 for the vectorized backend.
   const Matrix bench_lhs =
       Matrix::Random(kBackendRows, kBackendDim, 1.0, /*seed=*/14);
   const Matrix bench_rhs =
@@ -147,9 +147,6 @@ int main() {
   const BackendTimings vectorized = RunBackendBench(
       x2vec::linalg::GetKernelOps(x2vec::linalg::KernelBackend::kVectorized),
       bench_lhs, bench_rhs);
-  const BackendTimings float32 = RunBackendBench(
-      x2vec::linalg::GetKernelOps(x2vec::linalg::KernelBackend::kFloat32),
-      bench_lhs, bench_rhs);
 
   std::printf(
       "{\"bench\": \"perf_dense_kernels\",\n"
@@ -157,8 +154,7 @@ int main() {
       kBackendRows, kBackendDim, kBackendReps);
   PrintBackendJson("generic", generic, generic, /*trailing_comma=*/true);
   PrintBackendJson("vectorized", vectorized, generic,
-                   /*trailing_comma=*/true);
-  PrintBackendJson("float32", float32, generic, /*trailing_comma=*/false);
+                   /*trailing_comma=*/false);
   std::printf(" },\n \"meta\": %s}\n", x2vec::bench::MetaJson().c_str());
   return 0;
 }

@@ -9,8 +9,8 @@
 #   5. ctest -L kernels (span-kernel unit tests + bit-identity goldens,
 #      and the graph-kernel/hom differential cases, re-run on its own so a
 #      numeric drift is called out by name)
-#   6. ctest -L parity (backend-parity suite: vectorized/float32 kernel
-#      backends vs the generic golden reference, re-run on its own so a
+#   6. ctest -L parity (backend-parity suite: the vectorized kernel
+#      backend vs the generic golden reference, re-run on its own so a
 #      tolerance breach is called out by name)
 #   7. ctest -L persist (durable I/O + checkpoint/resume crash-safety
 #      suite, re-run on its own so a persistence regression is called out
@@ -53,7 +53,9 @@ while [[ $# -gt 0 ]]; do
     -j) JOBS="$2"; shift ;;
     -j*) JOBS="${1#-j}" ;;
     -h|--help)
-      sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//'
+      # The whole header comment: every line after the shebang up to the
+      # first line that is not a comment.
+      awk 'NR > 1 && !/^#/ { exit } NR > 1 { sub(/^# ?/, ""); print }' "$0"
       exit 0 ;;
     *) echo "check.sh: unknown argument: $1" >&2; exit 2 ;;
   esac

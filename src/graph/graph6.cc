@@ -66,6 +66,17 @@ StatusOr<Graph> FromGraph6(const std::string& encoded) {
       if (bit) g.AddEdge(i, j);
     }
   }
+  // The low bits of the last character past the final pair are padding and
+  // must be zero; otherwise two strings decode to one graph and decoding
+  // no longer round-trips through ToGraph6.
+  const int padding_bits = 6 * expected_chars - pair_bits;
+  if (padding_bits > 0 &&
+      ((encoded[expected_chars] - 63) & ((1 << padding_bits) - 1)) != 0) {
+    return Status::InvalidArgument(
+        "nonzero graph6 padding bits at offset " +
+        std::to_string(expected_chars) + " (byte value " +
+        std::to_string(static_cast<int>(encoded[expected_chars])) + ")");
+  }
   return g;
 }
 

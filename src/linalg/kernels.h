@@ -20,10 +20,10 @@ namespace x2vec::linalg {
 ///
 /// These entry points dispatch through the runtime-switchable backend
 /// layer in linalg/kernels_backend.h (X2VEC_KERNEL_BACKEND /
-/// SetKernelBackend): `vectorized` reorders the summation for SIMD and
-/// `float32` rounds through fp32 — both are *numeric* changes relative to
-/// generic, tolerance-checked against it by tests/backend_parity_test.cc
-/// rather than digest-pinned. Copy and Sigmoid are backend-invariant.
+/// SetKernelBackend): `vectorized` reorders the summation for SIMD — a
+/// *numeric* change relative to generic, tolerance-checked against it by
+/// tests/backend_parity_test.cc rather than digest-pinned. Copy and Sigmoid
+/// are backend-invariant.
 ///
 /// std::vector<double> converts implicitly to std::span<const double>, so
 /// existing vector-based callers keep working; braced initializer lists do

@@ -15,8 +15,6 @@ std::string_view KernelBackendName(KernelBackend backend) {
       return "generic";
     case KernelBackend::kVectorized:
       return "vectorized";
-    case KernelBackend::kFloat32:
-      return "float32";
   }
   return "generic";
 }
@@ -34,22 +32,13 @@ CpuFeatures DetectCpuFeatures() {
   return features;
 }
 
-StatusOr<KernelBackend> ResolveKernelBackend(const char* env_value,
-                                             const CpuFeatures& features) {
+StatusOr<KernelBackend> ResolveKernelBackend(const char* env_value) {
   const std::string_view value = env_value == nullptr ? "" : env_value;
   if (value.empty() || value == "generic") return KernelBackend::kGeneric;
   if (value == "vectorized") return KernelBackend::kVectorized;
-  if (value == "avx2") {
-    // Explicit ISA ask: honor it only when the CPU can, otherwise drop to
-    // the reference path rather than the portable vector lowering — the
-    // caller asked for a specific instruction set, not "fast please".
-    return features.avx2 && features.fma ? KernelBackend::kVectorized
-                                         : KernelBackend::kGeneric;
-  }
-  if (value == "float32" || value == "fp32") return KernelBackend::kFloat32;
   return Status::InvalidArgument(
       "X2VEC_KERNEL_BACKEND: unknown backend '" + std::string(value) +
-      "' (expected generic, vectorized, avx2, float32/fp32)");
+      "' (expected generic or vectorized)");
 }
 
 const KernelOps& GetKernelOps(KernelBackend backend) {
@@ -58,8 +47,6 @@ const KernelOps& GetKernelOps(KernelBackend backend) {
       return GenericKernelOps();
     case KernelBackend::kVectorized:
       return VectorizedKernelOps();
-    case KernelBackend::kFloat32:
-      return Float32KernelOps();
   }
   return GenericKernelOps();
 }
@@ -81,8 +68,8 @@ std::atomic<int> g_active_backend{static_cast<int>(KernelBackend::kGeneric)};
 // surface a Status from inside a kernel call, so it falls back to generic
 // and leaves a counter for run_report.json to flag.
 KernelBackend ResolveFromEnvironment() {
-  StatusOr<KernelBackend> resolved = ResolveKernelBackend(
-      std::getenv("X2VEC_KERNEL_BACKEND"), DetectCpuFeatures());
+  StatusOr<KernelBackend> resolved =
+      ResolveKernelBackend(std::getenv("X2VEC_KERNEL_BACKEND"));
   if (resolved.ok()) return resolved.value();
   X2VEC_METRIC_COUNT("kernels.backend_env_invalid", 1);
   return KernelBackend::kGeneric;

@@ -11,20 +11,13 @@ namespace x2vec::linalg {
 /// linalg/kernels.h (DESIGN.md, "Kernel backends").
 ///
 /// `kGeneric` is the golden reference: the order-exact double loops whose
-/// bit patterns the kernels_test digests pin. The fast backends trade that
-/// bit-identity for throughput and are *tolerance-checked* against generic
-/// by tests/backend_parity_test.cc (ctest -L parity):
-///
-///   kVectorized  GCC/Clang vector-extension loops (multiple independent
-///                accumulators, lane-folded), with an AVX2+FMA intrinsic
-///                specialization bound at startup when CPUID reports both
-///                features. Same double precision, different summation
-///                order.
-///   kFloat32     mixed precision: operands rounded to fp32, products and
-///                element updates computed in fp32, reductions accumulated
-///                in double (cheap on every target). Storage at the Matrix
-///                layer stays double; this backend bounds the numeric cost
-///                of a future fp32 storage tier before committing to it.
+/// bit patterns the kernels_test digests pin. `kVectorized` trades that
+/// bit-identity for throughput and is *tolerance-checked* against generic
+/// by tests/backend_parity_test.cc (ctest -L parity): GCC/Clang
+/// vector-extension loops (multiple independent accumulators,
+/// lane-folded), with an AVX2+FMA intrinsic specialization bound at
+/// startup when CPUID reports both features. Same double precision,
+/// different summation order.
 ///
 /// Selection mirrors X2VEC_THREADS: a programmatic SetKernelBackend()
 /// override wins, then the X2VEC_KERNEL_BACKEND environment variable (read
@@ -34,11 +27,10 @@ namespace x2vec::linalg {
 enum class KernelBackend {
   kGeneric = 0,
   kVectorized = 1,
-  kFloat32 = 2,
 };
 
-/// Stable lowercase name ("generic", "vectorized", "float32") — the same
-/// tokens X2VEC_KERNEL_BACKEND accepts.
+/// Stable lowercase name ("generic", "vectorized") — the same tokens
+/// X2VEC_KERNEL_BACKEND accepts.
 std::string_view KernelBackendName(KernelBackend backend);
 
 /// The ISA facts runtime dispatch consults. Detected once per process via
@@ -53,22 +45,16 @@ struct CpuFeatures {
 /// Queries the running CPU. Cheap after the first call (cached).
 CpuFeatures DetectCpuFeatures();
 
-/// Resolves a backend from an X2VEC_KERNEL_BACKEND-style string against
-/// the given CPU features. Exposed separately (like ResolveThreadCount) so
-/// tests cover the parsing and fallback rules without touching the process
-/// environment. Rules:
+/// Resolves a backend from an X2VEC_KERNEL_BACKEND-style string. Exposed
+/// separately (like ResolveThreadCount) so tests cover the parsing rules
+/// without touching the process environment. Rules:
 ///
-///   null / ""            -> kGeneric (the golden default)
-///   "generic"            -> kGeneric
-///   "vectorized"         -> kVectorized (portable; uses the AVX2+FMA
-///                           specialization only when the CPU has it)
-///   "avx2"               -> kVectorized when features.avx2 && features.fma,
-///                           else kGeneric (explicit ISA ask, unsupported
-///                           hardware falls back to the reference path)
-///   "float32" / "fp32"   -> kFloat32
-///   anything else        -> kInvalidArgument naming the bad value
-StatusOr<KernelBackend> ResolveKernelBackend(const char* env_value,
-                                             const CpuFeatures& features);
+///   null / ""       -> kGeneric (the golden default)
+///   "generic"       -> kGeneric
+///   "vectorized"    -> kVectorized (portable; uses the AVX2+FMA
+///                      specialization only when the CPU has it)
+///   anything else   -> kInvalidArgument naming the bad value
+StatusOr<KernelBackend> ResolveKernelBackend(const char* env_value);
 
 /// The backend the public kernels currently dispatch to. Resolution order:
 /// SetKernelBackend() override, then X2VEC_KERNEL_BACKEND (read once, on
@@ -105,11 +91,11 @@ struct KernelOps {
 };
 
 /// Per-backend tables. Generic lives in kernels.cc next to the reference
-/// loops; the fast tables live in their kernels_*.cc backend files (the
-/// only files where the `intrinsics` lint rule permits raw SIMD).
+/// loops; the vectorized table lives in kernels_vectorized.cc (a
+/// `linalg/kernels_*` backend file, where the `intrinsics` lint rule
+/// permits raw SIMD).
 const KernelOps& GenericKernelOps();
 const KernelOps& VectorizedKernelOps();
-const KernelOps& Float32KernelOps();
 
 /// Table for an explicit backend choice.
 const KernelOps& GetKernelOps(KernelBackend backend);

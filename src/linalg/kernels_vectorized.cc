@@ -1,8 +1,8 @@
 // Vectorized kernel backend: portable GCC/Clang vector-extension loops with
 // an AVX2+FMA intrinsic specialization selected at runtime via CPUID. This
-// file (with kernels_float32.cc) is the only place raw SIMD is allowed —
-// the `intrinsics` lint rule confines vector extensions and _mm* intrinsics
-// to linalg/kernels_* backend files.
+// file is the only place raw SIMD is used — the `intrinsics` lint rule
+// confines vector extensions and _mm* intrinsics to linalg/kernels_*
+// backend files.
 //
 // Numeric contract: same double precision as generic, different summation
 // order (4 independent lane accumulators folded at the end, scalar tail).

@@ -3,16 +3,15 @@
 //
 // The generic backend is the golden reference: bit-identical to the pinned
 // digests in kernels_test.cc, re-asserted here at 1 and 4 threads and after
-// backend flips. The fast backends (vectorized, float32) are *numeric*
-// variants — this harness holds them to explicit tolerance contracts
-// instead of bit equality, at three levels:
+// backend flips. The fast backend (vectorized) is a *numeric* variant —
+// this harness holds it to explicit tolerance contracts instead of bit
+// equality, at three levels:
 //
 //   1. Per-kernel property checks against the generic loop on adversarial
 //      inputs (mixed magnitudes, cancellation-heavy sums, denormals, large
-//      values near the fp32 range, dims exercising every lane/tail split),
-//      with ULP-aware bounds: abs_floor + coeff * eps * sum(|terms|), where
-//      eps is DBL_EPSILON for the reordered-double backend and FLT_EPSILON
-//      for the fp32 one, and abs_floor absorbs fp32 denormal flushing.
+//      values, dims exercising every lane/tail split), with ULP-aware
+//      bounds: abs_floor + coeff * eps * sum(|terms|), where eps is
+//      DBL_EPSILON and abs_floor only matters for pure-denormal inputs.
 //   2. End-to-end trained-model parity: SGNS trained under each backend
 //      must classify topic words within tolerance of the generic model,
 //      and kNN / Gram pipelines must agree with generic downstream.
@@ -48,13 +47,11 @@ namespace x2vec {
 namespace {
 
 using graph::Graph;
-using linalg::Float32KernelOps;
 using linalg::GenericKernelOps;
 using linalg::GetKernelOps;
 using linalg::KernelBackend;
 using linalg::KernelOps;
 using linalg::Matrix;
-using linalg::VectorizedKernelOps;
 
 // Restores the golden default no matter how a test exits: nothing
 // digest-pinned may ever run under a fast backend by accident.
@@ -66,37 +63,24 @@ class BackendGuard {
   ~BackendGuard() { linalg::SetKernelBackend(KernelBackend::kGeneric); }
 };
 
-const KernelBackend kFastBackends[] = {KernelBackend::kVectorized,
-                                       KernelBackend::kFloat32};
+const KernelBackend kFastBackends[] = {KernelBackend::kVectorized};
 
 // ---- Tolerance policy -------------------------------------------------------
 //
-// For a reduction over n terms whose absolute values sum to `scale`:
-//   vectorized  reorders double arithmetic (lane accumulators, FMA), so the
-//               drift is bounded by a small multiple of n * DBL_EPSILON *
-//               scale; the absolute floor only matters for pure-denormal
-//               inputs.
-//   float32     rounds each operand and product through fp32 (a few
-//               FLT_EPSILON per term, n-independent because accumulation
-//               stays double) plus the double-accumulation term; doubles
-//               below FLT_MIN flush toward zero, absorbed by a per-term
-//               absolute floor well above FLT_MIN * n.
+// For a reduction over n terms whose absolute values sum to `scale`, the
+// vectorized backend reorders double arithmetic (lane accumulators, FMA),
+// so the drift is bounded by a small multiple of n * DBL_EPSILON * scale;
+// the absolute floor only matters for pure-denormal inputs.
 
-double ReductionTol(KernelBackend backend, size_t n, double scale) {
+double ReductionTol(size_t n, double scale) {
   const double dn = static_cast<double>(n);
-  if (backend == KernelBackend::kFloat32) {
-    return dn * 1e-36 + (8.0 * FLT_EPSILON + 4.0 * dn * DBL_EPSILON) * scale;
-  }
   return dn * 1e-290 + 4.0 * (dn + 2.0) * DBL_EPSILON * scale;
 }
 
 // Per-element bound for map-style kernels (Axpy, Scale, the SGD row
 // updates), where `magnitude` sums the absolute values of the operands
 // feeding that element.
-double ElementTol(KernelBackend backend, double magnitude) {
-  if (backend == KernelBackend::kFloat32) {
-    return 1e-30 + 8.0 * FLT_EPSILON * magnitude;
-  }
+double ElementTol(double magnitude) {
   return 1e-300 + 4.0 * DBL_EPSILON * magnitude;
 }
 
@@ -142,8 +126,7 @@ VecPair CancellationPair(size_t n, uint64_t seed) {
   return p;
 }
 
-// Double denormals (and values below FLT_MIN): fp32 flushes these to zero,
-// which the absolute floor in the tolerance must absorb.
+// Double denormals: the absolute floor in the tolerance must absorb them.
 VecPair DenormalPair(size_t n, uint64_t seed) {
   Rng rng = MakeRng(seed);
   VecPair p{std::vector<double>(n), std::vector<double>(n)};
@@ -155,9 +138,9 @@ VecPair DenormalPair(size_t n, uint64_t seed) {
   return p;
 }
 
-// Large values capped so fp32 *products* stay finite (1e15^2 = 1e30 <
-// FLT_MAX): exercises magnitude handling without tripping the (separately
-// tested) overflow-to-inf behavior.
+// Large values capped so products stay far from overflow (1e15^2 = 1e30):
+// exercises magnitude handling without tripping the (separately tested)
+// overflow-to-inf behavior.
 VecPair LargeCappedPair(size_t n, uint64_t seed) {
   Rng rng = MakeRng(seed);
   VecPair p{std::vector<double>(n), std::vector<double>(n)};
@@ -206,7 +189,7 @@ TEST(BackendKernelParityTest, DotWithinUlpAwareBounds) {
         const double got = ops.dot(p.a, p.b);
         double scale = 0.0;
         for (size_t i = 0; i < n; ++i) scale += std::abs(p.a[i] * p.b[i]);
-        EXPECT_NEAR(got, expected, ReductionTol(backend, n, scale))
+        EXPECT_NEAR(got, expected, ReductionTol(n, scale))
             << CaseName(backend, gen.name, n);
       }
     }
@@ -227,7 +210,7 @@ TEST(BackendKernelParityTest, SquaredDistanceWithinUlpAwareBounds) {
           const double m = std::abs(p.a[i]) + std::abs(p.b[i]);
           scale += m * m;
         }
-        EXPECT_NEAR(got, expected, ReductionTol(backend, n, scale))
+        EXPECT_NEAR(got, expected, ReductionTol(n, scale))
             << CaseName(backend, gen.name, n);
       }
     }
@@ -249,7 +232,7 @@ TEST(BackendKernelParityTest, AxpyWithinElementwiseBounds) {
           for (size_t i = 0; i < n; ++i) {
             const double magnitude =
                 std::abs(alpha * p.a[i]) + std::abs(p.b[i]);
-            ASSERT_NEAR(got[i], expected[i], ElementTol(backend, magnitude))
+            ASSERT_NEAR(got[i], expected[i], ElementTol(magnitude))
                 << CaseName(backend, gen.name, n) << " alpha=" << alpha
                 << " i=" << i;
           }
@@ -273,7 +256,7 @@ TEST(BackendKernelParityTest, ScaleWithinElementwiseBounds) {
           ops.scale(got, alpha);
           for (size_t i = 0; i < n; ++i) {
             ASSERT_NEAR(got[i], expected[i],
-                        ElementTol(backend, std::abs(p.a[i] * alpha)))
+                        ElementTol(std::abs(p.a[i] * alpha)))
                 << CaseName(backend, gen.name, n) << " alpha=" << alpha
                 << " i=" << i;
           }
@@ -317,7 +300,7 @@ TEST(BackendKernelParityTest, SgdPairUpdateWithinDerivedBounds) {
         for (size_t i = 0; i < n; ++i) {
           dot_scale += std::abs(center[i] * context[i]);
         }
-        const double score_tol = ReductionTol(backend, n, dot_scale);
+        const double score_tol = ReductionTol(n, dot_scale);
         const double sig_tol = 0.25 * score_tol + 1e-13;
         const double gradient_tol = lr * sig_tol;
 
@@ -330,7 +313,7 @@ TEST(BackendKernelParityTest, SgdPairUpdateWithinDerivedBounds) {
           const double operand =
               std::abs(center[d]) + std::abs(context[d]);
           const double tol = gradient_tol * operand +
-                             ElementTol(backend, lr * operand) + 1e-15;
+                             ElementTol(lr * operand) + 1e-15;
           ASSERT_NEAR(got_context[d], ref_context[d], tol)
               << CaseName(backend, "sgd-context", n) << " d=" << d;
           ASSERT_NEAR(got_gradient[d], ref_gradient[d], tol)
@@ -367,8 +350,7 @@ TEST(BackendKernelParityTest, SgdPairUpdateDeltaMatchesInPlaceVariant) {
     EXPECT_EQ(gradient_a, gradient_b) << linalg::KernelBackendName(backend);
     for (size_t d = 0; d < n; ++d) {
       EXPECT_NEAR(context[d] + delta[d], inplace[d],
-                  ElementTol(backend,
-                             std::abs(context[d]) + std::abs(center[d])))
+                  ElementTol(std::abs(context[d]) + std::abs(center[d])))
           << linalg::KernelBackendName(backend) << " d=" << d;
     }
   }
@@ -515,9 +497,7 @@ TEST(BackendEndToEndParityTest, GraphletGramCloseToGeneric) {
       }
     }
     const double relative = std::sqrt(diff) / std::sqrt(norm);
-    const double tol =
-        backend == KernelBackend::kFloat32 ? 2e-5 : 1e-12;
-    EXPECT_LE(relative, tol) << linalg::KernelBackendName(backend);
+    EXPECT_LE(relative, 1e-12) << linalg::KernelBackendName(backend);
   }
 }
 

@@ -2,6 +2,9 @@
 // X2VEC_CHECK (the library is exception-free), and boundary inputs must be
 // handled deliberately.
 
+#include <string>
+#include <vector>
+
 #include "base/rng.h"
 #include "graph/graph.h"
 #include "graph/graph6.h"
@@ -94,6 +97,35 @@ TEST(BoundaryTest, SingleVertexAndEmptyGraphs) {
   const StatusOr<Graph> decoded = graph::FromGraph6("@");
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->NumVertices(), 1);
+}
+
+TEST(BoundaryTest, Graph6DecodeIsTypedErrorOrExactRoundTrip) {
+  // Every short string for n=2 ("A", 5 padding bits), n=3 ("B", 3) and
+  // n=5 ("D", 2 in the second character), over all printable bytes: the
+  // decoder either rejects it with kInvalidArgument or returns a graph
+  // that re-encodes to exactly the input, so nonzero padding bits must be
+  // rejected ("A`" and "A_" would otherwise decode to the same graph).
+  std::vector<std::string> inputs;
+  for (char body = 32; body < 127; ++body) {
+    inputs.push_back(std::string("A") + body);
+    inputs.push_back(std::string("B") + body);
+    for (char second = 32; second < 127; ++second) {
+      inputs.push_back(std::string("D") + body + second);
+    }
+  }
+  int accepted = 0;
+  for (const std::string& encoded : inputs) {
+    const StatusOr<Graph> decoded = graph::FromGraph6(encoded);
+    if (!decoded.ok()) {
+      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+          << encoded;
+      continue;
+    }
+    ++accepted;
+    EXPECT_EQ(graph::ToGraph6(*decoded), encoded);
+  }
+  // One string per graph: 2^1 + 2^3 + 2^10 labelled graphs.
+  EXPECT_EQ(accepted, 2 + 8 + 1024);
 }
 
 }  // namespace

@@ -57,6 +57,16 @@ TEST(Graph6Test, RejectsMalformed) {
   EXPECT_FALSE(graph::FromGraph6("").ok());
   EXPECT_FALSE(graph::FromGraph6("D").ok());    // Truncated bits.
   EXPECT_FALSE(graph::FromGraph6("Bww").ok());  // Too long.
+  // Nonzero padding after the last pair bit (n=2 pads 5 bits, n=3 pads 3):
+  // each graph has one encoding, so these fail at the last character.
+  for (const char* encoded : {"A`", "A@", "Ba", "Bx", "B~"}) {
+    const StatusOr<Graph> decoded = graph::FromGraph6(encoded);
+    ASSERT_FALSE(decoded.ok()) << encoded;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(decoded.status().message().find("padding bits at offset 1"),
+              std::string::npos)
+        << decoded.status().message();
+  }
 }
 
 TEST(Graph6Test, ListParsing) {

@@ -221,8 +221,7 @@ TEST(RandomWalkKernelTest, MatchesDenseProductWalkBitForBit) {
         }
         for (const linalg::KernelBackend backend :
              {linalg::KernelBackend::kGeneric,
-              linalg::KernelBackend::kVectorized,
-              linalg::KernelBackend::kFloat32}) {
+              linalg::KernelBackend::kVectorized}) {
           linalg::SetKernelBackend(backend);
           for (const int threads : {1, 4}) {
             SetThreadCount(threads);

@@ -409,49 +409,35 @@ TEST(SpanKernelTest, RowSpansAliasMatrixStorage) {
 // ---- Kernel-backend selection ----------------------------------------------
 //
 // ResolveKernelBackend is the pure core behind X2VEC_KERNEL_BACKEND,
-// exposed (like ResolveThreadCount) so the parsing and ISA-fallback rules
-// are testable without mutating the process environment.
+// exposed (like ResolveThreadCount) so the parsing rules are testable
+// without mutating the process environment.
 
 TEST(KernelBackendTest, ResolveDefaultsToGeneric) {
-  const linalg::CpuFeatures none;
-  EXPECT_EQ(linalg::ResolveKernelBackend(nullptr, none).value(),
+  EXPECT_EQ(linalg::ResolveKernelBackend(nullptr).value(),
             linalg::KernelBackend::kGeneric);
-  EXPECT_EQ(linalg::ResolveKernelBackend("", none).value(),
+  EXPECT_EQ(linalg::ResolveKernelBackend("").value(),
             linalg::KernelBackend::kGeneric);
-  EXPECT_EQ(linalg::ResolveKernelBackend("generic", none).value(),
+  EXPECT_EQ(linalg::ResolveKernelBackend("generic").value(),
             linalg::KernelBackend::kGeneric);
 }
 
 TEST(KernelBackendTest, ResolveNamedBackends) {
-  const linalg::CpuFeatures none;
-  EXPECT_EQ(linalg::ResolveKernelBackend("vectorized", none).value(),
+  EXPECT_EQ(linalg::ResolveKernelBackend("vectorized").value(),
             linalg::KernelBackend::kVectorized);
-  EXPECT_EQ(linalg::ResolveKernelBackend("float32", none).value(),
-            linalg::KernelBackend::kFloat32);
-  EXPECT_EQ(linalg::ResolveKernelBackend("fp32", none).value(),
-            linalg::KernelBackend::kFloat32);
 }
 
 TEST(KernelBackendTest, ResolveUnknownValueIsInvalidArgument) {
-  const linalg::CpuFeatures none;
-  const StatusOr<linalg::KernelBackend> resolved =
-      linalg::ResolveKernelBackend("avx512-bf16", none);
-  ASSERT_FALSE(resolved.ok());
-  EXPECT_EQ(resolved.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(resolved.status().message().find("avx512-bf16"),
-            std::string::npos);
-}
-
-TEST(KernelBackendTest, ResolveAvx2FallsBackToGenericWithoutIsaSupport) {
-  linalg::CpuFeatures features;  // no AVX2, no FMA
-  EXPECT_EQ(linalg::ResolveKernelBackend("avx2", features).value(),
-            linalg::KernelBackend::kGeneric);
-  features.avx2 = true;  // FMA still missing: the fused path stays off
-  EXPECT_EQ(linalg::ResolveKernelBackend("avx2", features).value(),
-            linalg::KernelBackend::kGeneric);
-  features.fma = true;
-  EXPECT_EQ(linalg::ResolveKernelBackend("avx2", features).value(),
-            linalg::KernelBackend::kVectorized);
+  // float32, fp32 and avx2 name no backend: like any other unknown value
+  // they are an error, never a silent fallback.
+  for (const char* value : {"avx512-bf16", "float32", "fp32", "avx2"}) {
+    const StatusOr<linalg::KernelBackend> resolved =
+        linalg::ResolveKernelBackend(value);
+    ASSERT_FALSE(resolved.ok()) << value;
+    EXPECT_EQ(resolved.status().code(), StatusCode::kInvalidArgument)
+        << value;
+    EXPECT_NE(resolved.status().message().find(value), std::string::npos)
+        << resolved.status().message();
+  }
 }
 
 TEST(KernelBackendTest, BackendNamesAreStable) {
@@ -459,8 +445,6 @@ TEST(KernelBackendTest, BackendNamesAreStable) {
             "generic");
   EXPECT_EQ(linalg::KernelBackendName(linalg::KernelBackend::kVectorized),
             "vectorized");
-  EXPECT_EQ(linalg::KernelBackendName(linalg::KernelBackend::kFloat32),
-            "float32");
 }
 
 TEST(KernelBackendTest, DetectCpuFeaturesIsStableAcrossCalls) {
@@ -481,9 +465,9 @@ TEST(KernelBackendTest, SetKernelBackendSwitchesPublicDispatch) {
   const std::vector<double> b = TestVector(33, 22);
   const double generic = linalg::GenericKernelOps().dot(a, b);
 
-  linalg::SetKernelBackend(linalg::KernelBackend::kFloat32);
-  EXPECT_EQ(linalg::ActiveKernelBackend(), linalg::KernelBackend::kFloat32);
-  EXPECT_EQ(linalg::Dot(a, b), linalg::Float32KernelOps().dot(a, b));
+  linalg::SetKernelBackend(linalg::KernelBackend::kVectorized);
+  EXPECT_EQ(linalg::ActiveKernelBackend(), linalg::KernelBackend::kVectorized);
+  EXPECT_EQ(linalg::Dot(a, b), linalg::VectorizedKernelOps().dot(a, b));
 
   linalg::SetKernelBackend(linalg::KernelBackend::kGeneric);
   EXPECT_EQ(linalg::ActiveKernelBackend(), linalg::KernelBackend::kGeneric);
@@ -495,8 +479,6 @@ TEST(KernelBackendTest, GetKernelOpsCoversEveryBackend) {
             &linalg::GenericKernelOps());
   EXPECT_EQ(&linalg::GetKernelOps(linalg::KernelBackend::kVectorized),
             &linalg::VectorizedKernelOps());
-  EXPECT_EQ(&linalg::GetKernelOps(linalg::KernelBackend::kFloat32),
-            &linalg::Float32KernelOps());
 }
 
 TEST(SpanKernelTest, MatrixApplyAcceptsSpansAndVectors) {

@@ -34,7 +34,6 @@
 #include "kg/transe.h"
 #include "linalg/health.h"
 #include "linalg/kernels.h"
-#include "linalg/kernels_backend.h"
 #include "linalg/matrix.h"
 #include "wl/kwl.h"
 
@@ -719,94 +718,54 @@ TEST(FaultInjectionTest, TransEStaysFiniteOnDegenerateBits) {
 }
 
 // ---------------------------------------------------------------------------
-// Numeric-health guards under the float32 kernel backend. The fp32 path
-// rounds operands through float, so values representable in double can
-// overflow to inf (|x| > FLT_MAX) and inf arithmetic can mint NaNs — the
-// linalg/health.h predicates must trip on both, and the SGNS recovery loop
-// must keep healing / giving up exactly as it does under generic.
+// Numeric-health guards on kernel overflow. Doubles past DBL_MAX overflow
+// to inf and inf arithmetic can mint NaNs — the linalg/health.h predicates
+// must trip on both, and reseeding must clear the damaged rows.
 
-class Float32BackendFixture : public ::testing::Test {
- protected:
-  void SetUp() override {
-    linalg::SetKernelBackend(linalg::KernelBackend::kFloat32);
-  }
-  void TearDown() override {
-    linalg::SetKernelBackend(linalg::KernelBackend::kGeneric);
-  }
-};
-
-TEST_F(Float32BackendFixture, AxpyOverflowToInfTripsRowUnhealthy) {
-  // 1e39 fits a double but not a float: the fp32 product overflows to inf.
+TEST(KernelOverflowHealthTest, AxpyOverflowToInfTripsRowUnhealthy) {
+  // 1e10 * 1e300 is past DBL_MAX: the product overflows to inf.
   linalg::Matrix m(2, 3);
-  const std::vector<double> x = {1e39, 1.0, 1.0};
-  linalg::Axpy(1.0, x, m.RowSpan(0));
+  const std::vector<double> x = {1e300, 1.0, 1.0};
+  linalg::Axpy(1e10, x, m.RowSpan(0));
   EXPECT_TRUE(std::isinf(m(0, 0)));
   EXPECT_TRUE(linalg::RowUnhealthy(m, 0, /*max_abs=*/1e6));
   EXPECT_FALSE(linalg::RowUnhealthy(m, 1, /*max_abs=*/1e6));
   EXPECT_FALSE(linalg::MatrixHealthy(m, /*max_abs=*/1e6));
 }
 
-TEST_F(Float32BackendFixture, OpposingOverflowsMintNanAndAreDetected) {
+TEST(KernelOverflowHealthTest, OpposingOverflowsMintNanAndAreDetected) {
   // +inf + (-inf) accumulated into the same cell is NaN; AllFinite and
   // RowUnhealthy must both flag it (NaN compares false with everything).
   linalg::Matrix m(1, 2);
-  const std::vector<double> up = {1e39, 0.0};
-  const std::vector<double> down = {-1e39, 0.0};
-  linalg::Axpy(1.0, up, m.RowSpan(0));
-  linalg::Axpy(1.0, down, m.RowSpan(0));
+  const std::vector<double> up = {1e300, 0.0};
+  const std::vector<double> down = {-1e300, 0.0};
+  linalg::Axpy(1e10, up, m.RowSpan(0));
+  linalg::Axpy(1e10, down, m.RowSpan(0));
   EXPECT_TRUE(std::isnan(m(0, 0)));
   EXPECT_FALSE(m.AllFinite());
   EXPECT_TRUE(linalg::RowUnhealthy(m, 0, /*max_abs=*/1e300));
   EXPECT_FALSE(linalg::MatrixHealthy(m, /*max_abs=*/1e300));
 }
 
-TEST_F(Float32BackendFixture, SquaredDistanceOverflowsToInfNotGarbage) {
-  // Differences near 2e38 square past FLT_MAX: the fp32 backend must
-  // report inf (which health checks catch), never a silently wrapped
-  // finite value.
-  const std::vector<double> a = {2e38, 0.0};
-  const std::vector<double> b = {-2e38, 0.0};
+TEST(KernelOverflowHealthTest, SquaredDistanceOverflowsToInfNotGarbage) {
+  // A difference of 2e200 squares past DBL_MAX: the kernels must report
+  // inf (which health checks catch), never a silently wrapped finite
+  // value.
+  const std::vector<double> a = {1e200, 0.0};
+  const std::vector<double> b = {-1e200, 0.0};
   EXPECT_TRUE(std::isinf(linalg::SquaredDistance(a, b)));
-  const std::vector<double> big = {1e39, 1e39};
+  const std::vector<double> big = {1e200, 1e200};
   EXPECT_TRUE(std::isinf(linalg::Dot(big, big)));
 }
 
-TEST_F(Float32BackendFixture, ReseedClearsFp32OverflowRows) {
+TEST(KernelOverflowHealthTest, ReseedClearsOverflowedRows) {
   linalg::Matrix m(3, 2);
-  const std::vector<double> x = {1e39, 1.0};
-  linalg::Axpy(1.0, x, m.RowSpan(1));
+  const std::vector<double> x = {1e300, 1.0};
+  linalg::Axpy(1e10, x, m.RowSpan(1));
   ASSERT_TRUE(linalg::RowUnhealthy(m, 1, /*max_abs=*/1e6));
   Rng rng = MakeRng(3);
   linalg::ReseedUnhealthyRows(m, /*init=*/0.01, /*max_abs=*/1e6, rng);
   EXPECT_TRUE(linalg::MatrixHealthy(m, /*max_abs=*/1e6));
-}
-
-TEST_F(Float32BackendFixture, SgnsHealsForcedDivergenceUnderFp32) {
-  embed::SgnsOptions options = PoisonedSgnsOptions();
-  options.recovery.lr_backoff = 1e-14;  // One retry lands at a sane rate.
-  Rng rng = MakeRng(21);
-  Budget unlimited;
-  const auto model =
-      embed::TrainSgnsBudgeted(SmallCorpus(), options, rng, unlimited);
-  ASSERT_TRUE(model.ok()) << model.status().ToString();
-  EXPECT_TRUE(model->input.AllFinite());
-  EXPECT_TRUE(model->output.AllFinite());
-  EXPECT_LE(model->input.MaxAbs(), options.recovery.max_abs);
-}
-
-TEST_F(Float32BackendFixture, SgnsGivesUpAfterMaxRetriesUnderFp32) {
-  embed::SgnsOptions options = PoisonedSgnsOptions();
-  options.recovery.lr_backoff = 1.0;  // Never back off: every retry diverges.
-  options.recovery.clip_backoff = 1.0;
-  options.recovery.max_retries = 2;
-  Rng rng = MakeRng(22);
-  Budget unlimited;
-  const auto model =
-      embed::TrainSgnsBudgeted(SmallCorpus(), options, rng, unlimited);
-  ASSERT_FALSE(model.ok());
-  EXPECT_EQ(model.status().code(), StatusCode::kInternal);
-  EXPECT_NE(model.status().message().find("exhausted 2 recovery retries"),
-            std::string::npos);
 }
 
 }  // namespace
