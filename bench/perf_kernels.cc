@@ -11,6 +11,7 @@
 #include "graph/generators.h"
 #include "hom/embeddings.h"
 #include "kernel/graph_kernels.h"
+#include "kernel/kwl_kernel.h"
 #include "kernel/wl_kernel.h"
 
 namespace {
@@ -78,6 +79,20 @@ void BM_HomVectorKernel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HomVectorKernel)
+    ->Arg(16)
+    ->Arg(20)
+    ->Arg(40)
+    ->Unit(benchmark::kMillisecond);
+
+// Folklore 2-WL, three rounds: the wl2-folklore-t3 method of the
+// graph_collection workload.
+void BM_TwoWlKernel(benchmark::State& state) {
+  const auto graphs = Dataset(40, static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(x2vec::kernel::TwoWlKernelMatrix(graphs, 3));
+  }
+}
+BENCHMARK(BM_TwoWlKernel)
     ->Arg(16)
     ->Arg(20)
     ->Arg(40)

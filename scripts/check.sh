@@ -4,32 +4,36 @@
 #   1. CMake configure (Release, warnings-as-errors, compile-commands export)
 #   2. full build (library, tests, benches, examples, x2vec_lint)
 #   3. ctest (the whole suite, which includes `-L lint`)
-#   4. ctest -L metrics (observability + sampling-fidelity suite, re-run
+#   4. ctest again with X2VEC_KERNEL_BACKEND=vectorized, then with
+#      X2VEC_THREADS=1 and X2VEC_THREADS=4: suites that pin golden digests
+#      pin the generic backend themselves, every other case must pass on
+#      either backend and at any thread count
+#   5. ctest -L metrics (observability + sampling-fidelity suite, re-run
 #      on its own so a regression there is called out by name)
-#   5. ctest -L kernels (span-kernel unit tests + bit-identity goldens,
+#   6. ctest -L kernels (span-kernel unit tests + bit-identity goldens,
 #      and the graph-kernel/hom differential cases, re-run on its own so a
 #      numeric drift is called out by name)
-#   6. ctest -L parity (backend-parity suite: the vectorized kernel
+#   7. ctest -L parity (backend-parity suite: the vectorized kernel
 #      backend vs the generic golden reference, re-run on its own so a
 #      tolerance breach is called out by name)
-#   7. ctest -L persist (durable I/O + checkpoint/resume crash-safety
+#   8. ctest -L persist (durable I/O + checkpoint/resume crash-safety
 #      suite, re-run on its own so a persistence regression is called out
 #      by name)
-#   8. ctest -L serve (embedding-serving suite: index backends, query
+#   9. ctest -L serve (embedding-serving suite: index backends, query
 #      engine, admission control, batch-replay determinism) followed by a
 #      tab_serving smoke replay, which must report every batch
 #      bit-identical and write run_report.json
-#   9. ctest -L stream (out-of-core CSR backend + streaming walk-corpus
+#  10. ctest -L stream (out-of-core CSR backend + streaming walk-corpus
 #      pipeline suite, re-run on its own so a streaming regression is
 #      called out by name) followed by a perf_stream --smoke run, which
 #      must stream a DeepWalk training pass over a generated 10M-edge CSR
 #      graph without materialising the walk corpus
-#  10. x2vec_lint over src/ tests/ bench/ tools/ examples/ — per-file
+#  11. x2vec_lint over src/ tests/ bench/ tools/ examples/ — per-file
 #      rules plus the whole-program passes (include cycles, layering
 #      against tools/lint/layers.txt, metric registry); also exports the
 #      module dependency DAG to $BUILD_DIR/deps.json and fails if the
 #      checked-in docs/metrics.md is stale
-#  11. clang-tidy over src/ — skipped with a notice when not installed
+#  12. clang-tidy over src/ — skipped with a notice when not installed
 #
 # Usage:
 #   scripts/check.sh [--sanitize=asan|tsan|ubsan] [--build-dir=DIR] [-j N]
@@ -89,6 +93,16 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 
 step "ctest"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
+
+step "ctest with X2VEC_KERNEL_BACKEND=vectorized"
+X2VEC_KERNEL_BACKEND=vectorized \
+  ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
+
+for threads in 1 4; do
+  step "ctest with X2VEC_THREADS=$threads"
+  X2VEC_THREADS="$threads" \
+    ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
+done
 
 step "ctest -L metrics (observability + sampling fidelity)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L metrics

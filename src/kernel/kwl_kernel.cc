@@ -1,158 +1,43 @@
 #include "kernel/kwl_kernel.h"
 
-#include <algorithm>
-#include <map>
+#include <cstdint>
 
 #include "base/check.h"
-#include "base/parallel.h"
+#include "kernel/wl_kernel.h"
+#include "wl/kwl.h"
 
 namespace x2vec::kernel {
-namespace {
 
-using graph::Graph;
-
-// Folklore 2-WL over a dataset with a joint colour namespace. States are
-// dense n_g x n_g colour grids per graph.
-struct DatasetState {
-  std::vector<std::vector<int>> colors;  // colors[g][u * n_g + v].
-  int num_colors = 0;
-};
-
-int AtomicType(const Graph& g, int u, int v) {
-  if (u == v) return 0;
-  return g.HasEdge(u, v) ? 1 : 2;
-}
-
-DatasetState InitialColors(const std::vector<Graph>& graphs) {
-  DatasetState state;
-  state.colors.resize(graphs.size());
-  std::map<std::pair<int, std::pair<int, int>>, int> dictionary;
-  for (size_t i = 0; i < graphs.size(); ++i) {
-    const Graph& g = graphs[i];
-    const int n = g.NumVertices();
-    state.colors[i].resize(static_cast<size_t>(n) * n);
-    for (int u = 0; u < n; ++u) {
-      for (int v = 0; v < n; ++v) {
-        const auto key = std::make_pair(
-            AtomicType(g, u, v),
-            std::make_pair(g.VertexLabel(u), g.VertexLabel(v)));
-        const auto [it, inserted] =
-            dictionary.emplace(key, static_cast<int>(dictionary.size()));
-        state.colors[i][static_cast<size_t>(u) * n + v] = it->second;
-      }
-    }
-  }
-  state.num_colors = static_cast<int>(dictionary.size());
-  return state;
-}
-
-// One folklore refinement round across the whole dataset. The expensive
-// part — building and sorting the n^2 neighbourhood signatures of every
-// graph — runs in parallel per graph; colour ids are then assigned from
-// the lexicographically sorted signature dictionary, so the numbering
-// (and hence the result) is independent of the thread count.
-DatasetState Refine(const std::vector<Graph>& graphs,
-                    const DatasetState& state) {
-  using Row = std::pair<int, int>;            // (c(w,v), c(u,w)).
-  using Signature = std::pair<int, std::vector<Row>>;
-  std::vector<std::vector<Signature>> signatures(graphs.size());
-
-  Status status = ParallelFor(
-      static_cast<int64_t>(graphs.size()), 0, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          const int n = graphs[i].NumVertices();
-          const std::vector<int>& colors = state.colors[i];
-          signatures[i].resize(static_cast<size_t>(n) * n);
-          for (int u = 0; u < n; ++u) {
-            for (int v = 0; v < n; ++v) {
-              std::vector<Row> rows;
-              rows.reserve(n);
-              for (int w = 0; w < n; ++w) {
-                rows.emplace_back(colors[static_cast<size_t>(w) * n + v],
-                                  colors[static_cast<size_t>(u) * n + w]);
-              }
-              std::sort(rows.begin(), rows.end());
-              signatures[i][static_cast<size_t>(u) * n + v] =
-                  Signature{colors[static_cast<size_t>(u) * n + v],
-                            std::move(rows)};
-            }
-          }
-        }
-        return Status::Ok();
-      });
-  X2VEC_CHECK(status.ok()) << status.ToString();
-
-  std::map<Signature, int> dictionary;
-  for (const auto& graph_signatures : signatures) {
-    for (const Signature& sig : graph_signatures) dictionary.emplace(sig, 0);
-  }
-  int next = 0;
-  for (auto& [sig, id] : dictionary) id = next++;
-
-  DatasetState refined;
-  refined.num_colors = next;
-  refined.colors.resize(graphs.size());
-  status = ParallelFor(
-      static_cast<int64_t>(graphs.size()), 0, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          refined.colors[i].resize(signatures[i].size());
-          for (size_t t = 0; t < signatures[i].size(); ++t) {
-            refined.colors[i][t] = dictionary.at(signatures[i][t]);
-          }
-        }
-        return Status::Ok();
-      });
-  X2VEC_CHECK(status.ok()) << status.ToString();
-  return refined;
-}
-
-}  // namespace
-
-linalg::Matrix TwoWlKernelMatrix(const std::vector<Graph>& graphs,
+linalg::Matrix TwoWlKernelMatrix(const std::vector<graph::Graph>& graphs,
                                  int rounds) {
   X2VEC_CHECK(!graphs.empty());
   X2VEC_CHECK_GE(rounds, 0);
+  std::vector<const graph::Graph*> pointers;
+  for (const graph::Graph& g : graphs) pointers.push_back(&g);
 
-  // Accumulate per-graph colour histograms across rounds into sparse maps
-  // keyed by (round, colour).
-  std::vector<std::map<std::pair<int, int>, double>> features(graphs.size());
-  DatasetState state = InitialColors(graphs);
-  for (int round = 0; round <= rounds; ++round) {
-    for (size_t i = 0; i < graphs.size(); ++i) {
-      for (int color : state.colors[i]) {
-        features[i][{round, color}] += 1.0;
-      }
-    }
-    if (round < rounds) {
-      DatasetState next = Refine(graphs, state);
-      if (next.num_colors == state.num_colors) {
-        // Stable: later rounds only replicate histograms; include the
-        // stable round once and stop.
-        state = std::move(next);
-        break;
-      }
-      state = std::move(next);
-    }
-  }
-
-  const int count = static_cast<int>(graphs.size());
-  linalg::Matrix gram(count, count);
-  const int64_t pairs = static_cast<int64_t>(count) * (count + 1) / 2;
-  const Status status = ParallelFor(pairs, 0, [&](int64_t lo, int64_t hi) {
-    for (int64_t t = lo; t < hi; ++t) {
-      const auto [a, b] = UpperTriangleIndex(t, count);
-      double total = 0.0;
-      for (const auto& [key, value] : features[a]) {
-        const auto it = features[b].find(key);
-        if (it != features[b].end()) total += value * it->second;
-      }
-      gram(a, b) = total;
-      gram(b, a) = total;
-    }
-    return Status::Ok();
-  });
+  // Per-graph (round, colour) -> count features, keyed round << 32 | colour
+  // so that appending round by round keeps every vector sorted. The Gram
+  // entries are sums of integer products below 2^53, so they are exact
+  // whatever the colour ids and the summation order.
+  std::vector<SparseVector> features(graphs.size());
+  int previous = -1;
+  Budget unlimited;
+  const Status status = wl::RefineJointly(
+      pointers, 2, rounds, unlimited, [&](const wl::KwlRound& round) {
+        // A stable colour count means a stable partition: later rounds only
+        // replicate the previous histograms, so stop without them.
+        if (round.num_colors == previous) return false;
+        previous = round.num_colors;
+        for (size_t i = 0; i < graphs.size(); ++i) {
+          for (const auto& [color, count] : round.histograms[i]) {
+            features[i].entries.emplace_back(
+                static_cast<int64_t>(round.round) << 32 | color, count);
+          }
+        }
+        return true;
+      });
   X2VEC_CHECK(status.ok()) << status.ToString();
-  return gram;
+  return GramFromSparse(features);
 }
 
 }  // namespace x2vec::kernel

@@ -62,8 +62,8 @@ SparseVector FromCounts(const std::map<int64_t, double>& counts) {
   return v;
 }
 
-// Symmetric Gram fill over sparse features, parallel over the upper
-// triangle; every entry is an independent merge-dot.
+}  // namespace
+
 linalg::Matrix GramFromSparse(const std::vector<SparseVector>& features) {
   trace::Span span("kernel.gram_from_sparse");
   const int n = static_cast<int>(features.size());
@@ -83,8 +83,6 @@ linalg::Matrix GramFromSparse(const std::vector<SparseVector>& features) {
   span.AddWork(pairs);
   return k;
 }
-
-}  // namespace
 
 double SparseVector::Dot(const SparseVector& other) const {
   double total = 0.0;

@@ -18,6 +18,10 @@ struct SparseVector {
   double NormSquared() const { return Dot(*this); }
 };
 
+/// Symmetric Gram matrix of sparse feature vectors, parallel over the
+/// upper triangle; every entry is an independent merge-dot.
+linalg::Matrix GramFromSparse(const std::vector<SparseVector>& features);
+
 /// Explicit Weisfeiler-Leman subtree features of a *dataset* of graphs
 /// (Section 3.5): all graphs are refined jointly so colour ids are shared,
 /// and graph G's feature vector stacks the counts wl(c, G) for every colour

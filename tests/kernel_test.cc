@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <cstring>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "base/parallel.h"
@@ -11,6 +13,7 @@
 #include "gtest/gtest.h"
 #include "hom/embeddings.h"
 #include "kernel/graph_kernels.h"
+#include "kernel/kwl_kernel.h"
 #include "kernel/wl_kernel.h"
 #include "linalg/kernels_backend.h"
 #include "wl/color_refinement.h"
@@ -235,6 +238,147 @@ TEST(RandomWalkKernelTest, MatchesDenseProductWalkBitForBit) {
         linalg::SetKernelBackend(linalg::KernelBackend::kGeneric);
         SetThreadCount(0);
       }
+    }
+  }
+}
+
+// The 2-WL kernel the joint k-WL engine replaced: its own atomic types
+// and signatures, renumbered through lexicographically ordered std::map
+// dictionaries, with std::map features. Kept as the reference, its
+// per-graph and per-entry ParallelFor loops run serially.
+struct ReferenceDatasetState {
+  std::vector<std::vector<int>> colors;  // colors[g][u * n_g + v].
+  int num_colors = 0;
+};
+
+int ReferenceAtomicType(const Graph& g, int u, int v) {
+  if (u == v) return 0;
+  return g.HasEdge(u, v) ? 1 : 2;
+}
+
+ReferenceDatasetState ReferenceInitialColors(const std::vector<Graph>& graphs) {
+  ReferenceDatasetState state;
+  state.colors.resize(graphs.size());
+  std::map<std::pair<int, std::pair<int, int>>, int> dictionary;
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    const Graph& g = graphs[i];
+    const int n = g.NumVertices();
+    state.colors[i].resize(static_cast<size_t>(n) * n);
+    for (int u = 0; u < n; ++u) {
+      for (int v = 0; v < n; ++v) {
+        const auto key = std::make_pair(
+            ReferenceAtomicType(g, u, v),
+            std::make_pair(g.VertexLabel(u), g.VertexLabel(v)));
+        const auto [it, inserted] =
+            dictionary.emplace(key, static_cast<int>(dictionary.size()));
+        state.colors[i][static_cast<size_t>(u) * n + v] = it->second;
+      }
+    }
+  }
+  state.num_colors = static_cast<int>(dictionary.size());
+  return state;
+}
+
+ReferenceDatasetState ReferenceRefine(const std::vector<Graph>& graphs,
+                                      const ReferenceDatasetState& state) {
+  using Row = std::pair<int, int>;  // (c(w,v), c(u,w)).
+  using Signature = std::pair<int, std::vector<Row>>;
+  std::vector<std::vector<Signature>> signatures(graphs.size());
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    const int n = graphs[i].NumVertices();
+    const std::vector<int>& colors = state.colors[i];
+    signatures[i].resize(static_cast<size_t>(n) * n);
+    for (int u = 0; u < n; ++u) {
+      for (int v = 0; v < n; ++v) {
+        std::vector<Row> rows;
+        rows.reserve(n);
+        for (int w = 0; w < n; ++w) {
+          rows.emplace_back(colors[static_cast<size_t>(w) * n + v],
+                            colors[static_cast<size_t>(u) * n + w]);
+        }
+        std::sort(rows.begin(), rows.end());
+        signatures[i][static_cast<size_t>(u) * n + v] =
+            Signature{colors[static_cast<size_t>(u) * n + v], std::move(rows)};
+      }
+    }
+  }
+  std::map<Signature, int> dictionary;
+  for (const auto& graph_signatures : signatures) {
+    for (const Signature& sig : graph_signatures) dictionary.emplace(sig, 0);
+  }
+  int next = 0;
+  for (auto& [sig, id] : dictionary) id = next++;
+  ReferenceDatasetState refined;
+  refined.num_colors = next;
+  refined.colors.resize(graphs.size());
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    refined.colors[i].resize(signatures[i].size());
+    for (size_t t = 0; t < signatures[i].size(); ++t) {
+      refined.colors[i][t] = dictionary.at(signatures[i][t]);
+    }
+  }
+  return refined;
+}
+
+linalg::Matrix ReferenceTwoWlKernelMatrix(const std::vector<Graph>& graphs,
+                                          int rounds) {
+  std::vector<std::map<std::pair<int, int>, double>> features(graphs.size());
+  ReferenceDatasetState state = ReferenceInitialColors(graphs);
+  for (int round = 0; round <= rounds; ++round) {
+    for (size_t i = 0; i < graphs.size(); ++i) {
+      for (int color : state.colors[i]) features[i][{round, color}] += 1.0;
+    }
+    if (round < rounds) {
+      ReferenceDatasetState next = ReferenceRefine(graphs, state);
+      if (next.num_colors == state.num_colors) break;
+      state = std::move(next);
+    }
+  }
+  const int count = static_cast<int>(graphs.size());
+  linalg::Matrix gram(count, count);
+  for (int a = 0; a < count; ++a) {
+    for (int b = a; b < count; ++b) {
+      double total = 0.0;
+      for (const auto& [key, value] : features[a]) {
+        const auto it = features[b].find(key);
+        if (it != features[b].end()) total += value * it->second;
+      }
+      gram(a, b) = total;
+      gram(b, a) = total;
+    }
+  }
+  return gram;
+}
+
+TEST(TwoWlKernelTest, MatchesMapReferenceBitForBit) {
+  Rng rng = MakeRng(79);
+  std::vector<std::vector<Graph>> collections;
+  for (data::GraphDataset& dataset :
+       data::AllClassificationDatasets(/*per_class=*/4, /*graph_size=*/16,
+                                       rng)) {
+    collections.push_back(std::move(dataset.graphs));
+  }
+  collections.push_back(DenseAndDegenerateGraphs());
+  // Sparse labelled G(n, p) graphs of mixed orders, two labels.
+  std::vector<Graph> sparse;
+  for (const int n : {3, 5, 8, 8, 11, 14}) {
+    Graph g = graph::ErdosRenyiGnp(n, 0.3, rng);
+    for (int v = 0; v < n; ++v) {
+      g.SetVertexLabel(v, static_cast<int>(UniformInt(rng, 0, 1)));
+    }
+    sparse.push_back(std::move(g));
+  }
+  collections.push_back(std::move(sparse));
+  for (const std::vector<Graph>& graphs : collections) {
+    for (int rounds = 0; rounds <= 4; ++rounds) {
+      const linalg::Matrix expected = ReferenceTwoWlKernelMatrix(graphs, rounds);
+      for (const int threads : {1, 4}) {
+        SetThreadCount(threads);
+        EXPECT_TRUE(SameBytes(TwoWlKernelMatrix(graphs, rounds), expected))
+            << graphs.size() << " graphs, rounds " << rounds << ", threads "
+            << threads;
+      }
+      SetThreadCount(0);
     }
   }
 }

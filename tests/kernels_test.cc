@@ -30,6 +30,7 @@
 #include "embed/corpus.h"
 #include "embed/node_embeddings.h"
 #include "embed/sgns.h"
+#include "generic_backend_env.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "kernel/graph_kernels.h"

@@ -29,6 +29,7 @@
 #include "embed/checkpoint.h"
 #include "embed/corpus.h"
 #include "embed/sgns.h"
+#include "generic_backend_env.h"
 #include "kg/knowledge_graph.h"
 #include "kg/persist.h"
 #include "kg/rescal.h"

@@ -24,6 +24,7 @@
 #include "embed/graph2vec.h"
 #include "embed/node_embeddings.h"
 #include "embed/sgns.h"
+#include "generic_backend_env.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/isomorphism.h"
@@ -34,6 +35,7 @@
 #include "kg/transe.h"
 #include "linalg/health.h"
 #include "linalg/kernels.h"
+#include "linalg/kernels_backend.h"
 #include "linalg/matrix.h"
 #include "wl/kwl.h"
 
@@ -249,7 +251,7 @@ TEST(ZeroBudgetTest, KWeisfeilerLeman) {
   const graph::Graph g = graph::Graph::Cycle(6);
   const graph::Graph h = graph::Graph::Path(6);
   Budget budget = Budget::WorkUnits(0);
-  ExpectExhausted(wl::KwlCompareBudgeted(g, h, 2, budget));
+  ExpectExhausted(wl::KwlCompare(g, h, 2, budget));
 }
 
 TEST(ZeroBudgetTest, TreewidthAndElimination) {
@@ -331,6 +333,20 @@ TEST(PartialBudgetTest, TinyQuotaStopsExactTreewidth) {
   ExpectExhausted(hom::ExactTreewidthBudgeted(g, nullptr, budget));
 }
 
+TEST(PartialBudgetTest, KwlChargesTuplesBeforeAllocatingThem) {
+  // 64^5 = 2^30 tuples per graph: the two colour arrays alone would take
+  // 8 GiB. A small quota must be refused before any of it is allocated.
+  const graph::Graph g = graph::Graph::Cycle(64);
+  const graph::Graph h = graph::Graph::Path(64);
+  Budget budget = Budget::WorkUnits(1000);
+  ExpectExhausted(wl::KwlCompare(g, h, 5, budget));
+  // 64^20 overflows int64_t; the saturated count takes the same path.
+  Budget overflow = Budget::WorkUnits(1000);
+  ExpectExhausted(wl::KwlCompare(g, h, 20, overflow));
+  // Unbudgeted, the same call is a CHECK failure with a message, not UB.
+  EXPECT_DEATH(wl::KwlCompare(g, h, 20), "more than 2147483647 tuples");
+}
+
 TEST(PartialBudgetTest, TrainerStopsMidEpoch) {
   Rng rng = MakeRng(3);
   Budget budget = Budget::WorkUnits(5);  // A handful of pairs, then stop.
@@ -358,7 +374,7 @@ TEST(BudgetEquivalenceTest, KwlMatchesPlain) {
   const graph::Graph h =
       graph::Graph::FromEdges(6, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}});
   Budget budget = Budget::WorkUnits(1'000'000'000);
-  const auto result = wl::KwlCompareBudgeted(g, h, 2, budget);
+  const auto result = wl::KwlCompare(g, h, 2, budget);
   ASSERT_TRUE(result.ok());
   const wl::KwlResult plain = wl::KwlCompare(g, h, 2);
   EXPECT_EQ(result->distinguishes, plain.distinguishes);
@@ -734,8 +750,9 @@ TEST(KernelOverflowHealthTest, AxpyOverflowToInfTripsRowUnhealthy) {
 }
 
 TEST(KernelOverflowHealthTest, OpposingOverflowsMintNanAndAreDetected) {
-  // +inf + (-inf) accumulated into the same cell is NaN; AllFinite and
-  // RowUnhealthy must both flag it (NaN compares false with everything).
+  // Generic (unfused) arithmetic, pinned for this binary: +inf + (-inf)
+  // accumulated into the same cell is NaN; AllFinite and RowUnhealthy must
+  // both flag it (NaN compares false with everything).
   linalg::Matrix m(1, 2);
   const std::vector<double> up = {1e300, 0.0};
   const std::vector<double> down = {-1e300, 0.0};
@@ -745,6 +762,21 @@ TEST(KernelOverflowHealthTest, OpposingOverflowsMintNanAndAreDetected) {
   EXPECT_FALSE(m.AllFinite());
   EXPECT_TRUE(linalg::RowUnhealthy(m, 0, /*max_abs=*/1e300));
   EXPECT_FALSE(linalg::MatrixHealthy(m, /*max_abs=*/1e300));
+}
+
+TEST(KernelOverflowHealthTest, VectorizedOpposingOverflowsAreDetected) {
+  // A fused multiply-add rounds 1e10 * -1e300 + inf once, to inf, so the
+  // vectorized backend may keep an inf where generic mints a NaN. Either
+  // way the cell is non-finite and the health predicates flag it.
+  linalg::SetKernelBackend(linalg::KernelBackend::kVectorized);
+  linalg::Matrix m(1, 2);
+  const std::vector<double> up = {1e300, 0.0};
+  const std::vector<double> down = {-1e300, 0.0};
+  linalg::Axpy(1e10, up, m.RowSpan(0));
+  linalg::Axpy(1e10, down, m.RowSpan(0));
+  linalg::SetKernelBackend(linalg::KernelBackend::kGeneric);
+  EXPECT_FALSE(std::isfinite(m(0, 0)));
+  EXPECT_TRUE(linalg::RowUnhealthy(m, 0, /*max_abs=*/1e300));
 }
 
 TEST(KernelOverflowHealthTest, SquaredDistanceOverflowsToInfNotGarbage) {

@@ -1,6 +1,8 @@
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/rng.h"
@@ -239,6 +241,187 @@ TEST(KwlTest, InvariantUnderPermutation) {
 
 TEST(KwlTest, DifferentOrdersAreDistinguished) {
   EXPECT_TRUE(KwlDistinguishes(Graph::Path(3), Graph::Path(4), 2));
+}
+
+// The two-graph k-WL the joint engine replaced: std::map dictionaries
+// over vector signatures that also carry w's relation to every position.
+// Kept as the reference, without its budget.
+std::vector<int> ReferenceAtomicType(const Graph& g,
+                                     const std::vector<int>& tuple) {
+  const int k = static_cast<int>(tuple.size());
+  std::vector<int> type;
+  for (int i = 0; i < k; ++i) type.push_back(g.VertexLabel(tuple[i]));
+  for (int i = 0; i < k; ++i) {
+    for (int j = 0; j < k; ++j) {
+      if (i == j) continue;
+      type.push_back(tuple[i] == tuple[j] ? 2
+                     : g.HasEdge(tuple[i], tuple[j]) ? 1
+                                                     : 0);
+    }
+  }
+  return type;
+}
+
+void ReferenceDecode(int64_t index, int n, std::vector<int>& tuple) {
+  for (int i = static_cast<int>(tuple.size()) - 1; i >= 0; --i) {
+    tuple[i] = static_cast<int>(index % n);
+    index /= n;
+  }
+}
+
+std::vector<std::vector<int>> ReferenceExtensionMultiset(
+    const Graph& g, const std::vector<int>& colors, int64_t index, int n,
+    int k) {
+  std::vector<int> tuple(k);
+  ReferenceDecode(index, n, tuple);
+  std::vector<int64_t> stride(k, 1);
+  for (int i = k - 2; i >= 0; --i) stride[i] = stride[i + 1] * n;
+  std::vector<std::vector<int>> rows;
+  for (int w = 0; w < n; ++w) {
+    std::vector<int> row(2 * k);
+    for (int i = 0; i < k; ++i) {
+      row[i] = colors[index + (w - tuple[i]) * stride[i]];
+      row[k + i] = w == tuple[i] ? 2 : g.HasEdge(w, tuple[i]) ? 1 : 0;
+    }
+    rows.push_back(std::move(row));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+KwlResult ReferenceKwlCompare(const Graph& g, const Graph& h, int k) {
+  KwlResult result;
+  if (g.NumVertices() != h.NumVertices()) {
+    result.distinguishes = true;
+    result.distinguishing_round = 0;
+    return result;
+  }
+  const int n = g.NumVertices();
+  int64_t tuples = 1;
+  for (int i = 0; i < k; ++i) tuples *= n;
+  std::vector<int> colors_g(tuples);
+  std::vector<int> colors_h(tuples);
+  {
+    std::map<std::vector<int>, int> type_to_color;
+    std::vector<std::vector<int>> types_g(tuples);
+    std::vector<std::vector<int>> types_h(tuples);
+    std::vector<int> tuple(k);
+    for (int64_t t = 0; t < tuples; ++t) {
+      ReferenceDecode(t, n, tuple);
+      types_g[t] = ReferenceAtomicType(g, tuple);
+      types_h[t] = ReferenceAtomicType(h, tuple);
+      type_to_color.emplace(types_g[t], 0);
+      type_to_color.emplace(types_h[t], 0);
+    }
+    int next = 0;
+    for (auto& [type, color] : type_to_color) color = next++;
+    for (int64_t t = 0; t < tuples; ++t) {
+      colors_g[t] = type_to_color.at(types_g[t]);
+      colors_h[t] = type_to_color.at(types_h[t]);
+    }
+    result.num_colors = next;
+  }
+  const auto histograms_differ = [&]() {
+    std::vector<int64_t> hist_g(result.num_colors, 0);
+    std::vector<int64_t> hist_h(result.num_colors, 0);
+    for (int64_t t = 0; t < tuples; ++t) {
+      ++hist_g[colors_g[t]];
+      ++hist_h[colors_h[t]];
+    }
+    return hist_g != hist_h;
+  };
+  if (histograms_differ()) {
+    result.distinguishes = true;
+    result.distinguishing_round = 0;
+    return result;
+  }
+  using Signature = std::pair<int, std::vector<std::vector<int>>>;
+  for (int round = 1; round <= tuples; ++round) {
+    std::map<Signature, int> signature_to_color;
+    std::vector<Signature> sigs_g(tuples);
+    std::vector<Signature> sigs_h(tuples);
+    for (int64_t t = 0; t < tuples; ++t) {
+      sigs_g[t] = {colors_g[t], ReferenceExtensionMultiset(g, colors_g, t, n, k)};
+      sigs_h[t] = {colors_h[t], ReferenceExtensionMultiset(h, colors_h, t, n, k)};
+      signature_to_color.emplace(sigs_g[t], 0);
+      signature_to_color.emplace(sigs_h[t], 0);
+    }
+    int next = 0;
+    for (auto& [sig, color] : signature_to_color) color = next++;
+    const int previous = result.num_colors;
+    for (int64_t t = 0; t < tuples; ++t) {
+      colors_g[t] = signature_to_color.at(sigs_g[t]);
+      colors_h[t] = signature_to_color.at(sigs_h[t]);
+    }
+    result.num_colors = next;
+    if (histograms_differ()) {
+      result.distinguishes = true;
+      result.distinguishing_round = round;
+      return result;
+    }
+    if (next == previous) {
+      result.rounds_to_stable = round;
+      return result;
+    }
+  }
+  result.rounds_to_stable = static_cast<int>(tuples);
+  return result;
+}
+
+Graph RandomLabelled(int n, double p, int labels, Rng& rng) {
+  Graph g = graph::ErdosRenyiGnp(n, p, rng);
+  for (int v = 0; v < n; ++v) {
+    g.SetVertexLabel(v, static_cast<int>(UniformInt(rng, 0, labels - 1)));
+  }
+  return g;
+}
+
+TEST(KwlTest, MatchesMapReferenceFieldForField) {
+  Rng rng = MakeRng(46);
+  std::vector<std::pair<Graph, Graph>> pairs;
+  for (const Graph& base : {Graph::Cycle(3), Graph::Cycle(4), Graph::Cycle(5),
+                            Graph::Complete(4)}) {
+    CfiPair cfi = BuildCfiPair(base);
+    pairs.emplace_back(cfi.untwisted, cfi.twisted);
+  }
+  pairs.emplace_back(Graph::Cycle(6),
+                     DisjointUnion(Graph::Cycle(3), Graph::Cycle(3)));
+  pairs.emplace_back(Graph::Path(3), Graph::Path(4));
+  pairs.emplace_back(Graph::Cycle(5), Graph::Complete(6));
+  pairs.emplace_back(Graph(0), Graph(0));
+  pairs.emplace_back(Graph(1), Graph(1));
+  for (int i = 0; i < 4; ++i) {
+    const Graph g = RandomLabelled(7, 0.45, 1 + i % 2, rng);
+    pairs.emplace_back(g, graph::Permuted(g, RandomPermutation(7, rng)));
+    pairs.emplace_back(g, RandomLabelled(7, 0.45, 1 + i % 2, rng));
+  }
+  // Directed: the k >= 2 rows drop w's relation to the tuple, which the
+  // substituted tuples' atomic types already hold in both directions.
+  Graph directed(6, /*directed=*/true);
+  Graph reversed(6, /*directed=*/true);
+  for (int v = 0; v < 6; ++v) {
+    directed.AddEdge(v, (v + 1) % 6);
+    reversed.AddEdge((v + 1) % 6, v);
+  }
+  directed.AddEdge(0, 3);
+  reversed.AddEdge(3, 0);
+  pairs.emplace_back(directed, reversed);
+  pairs.emplace_back(directed, graph::Permuted(directed, RandomPermutation(6, rng)));
+
+  for (const auto& [g, h] : pairs) {
+    for (int k = 1; k <= 3; ++k) {
+      const KwlResult expected = ReferenceKwlCompare(g, h, k);
+      const KwlResult actual = KwlCompare(g, h, k);
+      EXPECT_EQ(actual.distinguishes, expected.distinguishes)
+          << g.ToString() << " vs " << h.ToString() << ", k " << k;
+      EXPECT_EQ(actual.distinguishing_round, expected.distinguishing_round)
+          << g.ToString() << " vs " << h.ToString() << ", k " << k;
+      EXPECT_EQ(actual.rounds_to_stable, expected.rounds_to_stable)
+          << g.ToString() << " vs " << h.ToString() << ", k " << k;
+      EXPECT_EQ(actual.num_colors, expected.num_colors)
+          << g.ToString() << " vs " << h.ToString() << ", k " << k;
+    }
+  }
 }
 
 TEST(CfiTest, TrianglePairSeparatedAtDimensionTwo) {
